@@ -1171,8 +1171,12 @@ impl GhkMultiNode {
                 let Some((ring, ring_level)) = self.ring else {
                     return if layered { Wake::Now } else { sleep };
                 };
-                if self.handoff_seen != Some(window) {
-                    return Wake::Now; // entry round: window harvest
+                // Entry round: the window harvest. A replayed handoff (rung 1
+                // re-runs the window first) finds `handoff_seen` already set
+                // but a live schedule whose harvest may make the node a
+                // sender.
+                if self.handoff_seen != Some(window) || self.sched.is_some() {
+                    return Wake::Now;
                 }
                 let sender = ring_level == self.plan.ring_width - 1
                     && ring + 1 < self.plan.ring_count

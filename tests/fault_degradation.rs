@@ -34,7 +34,7 @@
 //! cost at degradation instead of failure.
 
 use broadcast::multi_message::BatchMode;
-use broadcast::{Algo, Scenario, SeedMatrix, TopologySpec, Workload};
+use broadcast::{Algo, Detail, Scenario, SeedMatrix, TopologySpec, Workload};
 use radio_sim::FaultPlan;
 use rlnc::gf2::BitVec;
 
@@ -300,6 +300,77 @@ fn grid_recovers_under_combined_erasure_and_jamming() {
         erase05_plus_jammer(),
         [Some(3784), Some(3785), Some(4309)],
         [Some(44), Some(27), Some(32)],
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Theorem 1.3: the multi-message pipeline climbs the same staged ladder
+// (window replay → regional FEC flood → no-knowledge fallback). Exact
+// completions and recovery counters are pinned per seed, so any change to
+// the rounds the ladder executes shows here.
+// ---------------------------------------------------------------------------
+
+/// A seed's recovery counters:
+/// `(retries, votes_overturned, ring_repairs, regional_repairs, fallback_rounds)`.
+type Recovery = (u64, u64, u64, u64, u64);
+
+/// Pins one faulted Theorem 1.3 scenario (8 messages in generations of 4,
+/// FEC repair 2) over seeds 1..4: completion rounds, recovery counters and
+/// the rung-3 entry round. Cap-outs must have run exactly to the cap.
+fn pin_multi_degradation(
+    spec: TopologySpec,
+    plan: FaultPlan,
+    expected: [Option<u64>; 3],
+    recovery: [Recovery; 3],
+    entries: [Option<u64>; 3],
+) {
+    let m = Scenario::new(
+        spec,
+        Workload::MultiUnknown { messages: payloads(8), batch: BatchMode::Generations(4) },
+    )
+    .faults(plan)
+    .fec_repair(2)
+    .seeds(1..4);
+    assert_eq!(completions(&m), expected, "Theorem 1.3 drifted: {}", m.report());
+    for (run, (want, entry)) in m.runs.iter().zip(recovery.iter().zip(entries)) {
+        let s = &run.outcome.stats;
+        let got =
+            (s.retries, s.votes_overturned, s.ring_repairs, s.regional_repairs, s.fallback_rounds);
+        assert_eq!(got, *want, "seed {}: recovery counters drifted", run.seed);
+        let Detail::MultiUnknown { fallback_entry, .. } = run.outcome.detail else {
+            panic!("seed {}: expected Theorem 1.3 detail", run.seed);
+        };
+        assert_eq!(fallback_entry, entry, "seed {}: fallback entry drifted", run.seed);
+        match run.outcome.completion_round {
+            Some(_) => assert!(run.outcome.completed_within_cap(), "seed {} beyond cap", run.seed),
+            None => assert_eq!(s.rounds, run.outcome.cap, "seed {} capped short", run.seed),
+        }
+    }
+}
+
+/// Every corridor seed exhausts rungs 1–2 and completes in the rung-3 flood.
+#[test]
+fn multi_corridor_recovers_under_light_erasure() {
+    pin_multi_degradation(
+        corridor(),
+        erase05(),
+        [Some(17003), Some(16040), Some(16932)],
+        [(1, 0, 9, 9, 198), (1, 0, 4, 4, 1479), (1, 0, 10, 10, 1760)],
+        [Some(16805), Some(14561), Some(15172)],
+    );
+}
+
+/// The jammed grid covers the other ladder outcomes: rung 3 completing
+/// (seed 1), rungs 1–2 recovering without a fallback (seed 2), and a
+/// fallback that runs to the cap without completing (seed 3).
+#[test]
+fn multi_grid_under_one_jammer() {
+    pin_multi_degradation(
+        grid(),
+        one_jammer(),
+        [Some(8729), Some(8898), None],
+        [(1, 0, 2, 2, 536), (1, 0, 2, 2, 0), (1, 0, 2, 2, 57071)],
+        [Some(8193), None, Some(8185)],
     );
 }
 

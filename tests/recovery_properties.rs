@@ -8,7 +8,8 @@
 //!   zero and no fallback entry round — on top of the exact bit-identity
 //!   pins in `tests/fault_degradation.rs`, this holds over *arbitrary*
 //!   topologies and seeds, not just the four historical scenarios.
-//! * **Rungs are monotone.** The ladder escalates strictly in order:
+//! * **Rungs are monotone.** On both the Theorem 1.1 and the Theorem 1.3
+//!   pipeline, the ladder escalates strictly in order:
 //!   nonzero `fallback_rounds` implies a rung-2 regional repair was
 //!   attempted, which implies a rung-1 ring repair was attempted. A run
 //!   that flooded without first trying local repair is the regression this
@@ -42,6 +43,17 @@ fn fault_plan(pick: u8, p: f64, period: u64) -> FaultPlan {
         1 => FaultPlan::none().with_jammer(4, 1 + period % 3, 0),
         2 => FaultPlan::none().with_churn(1 + period % 2, 0.0, 0.005 + p * 0.02),
         _ => FaultPlan::none().with_erasure(0.1 + p * 0.2).with_jammer(4, 2, 0),
+    }
+}
+
+/// One of the two pipelines that carry a recovery ladder: Theorem 1.1, or
+/// Theorem 1.3 with three messages in one batch.
+fn workload(pick: u8) -> Workload {
+    if pick % 2 == 0 {
+        Workload::Single { payload: 7 }
+    } else {
+        let messages = (0..3u64).map(|i| BitVec::from_u64(i * 5 + 1, 16)).collect();
+        Workload::MultiUnknown { messages, batch: BatchMode::FullK }
     }
 }
 
@@ -93,11 +105,11 @@ proptest! {
 
     #[test]
     fn ladder_rungs_are_monotone_and_replay_exactly(
-        tpick in 0u8..4, a in 0usize..8, b in 0usize..8,
+        wpick in 0u8..2, tpick in 0u8..4, a in 0usize..8, b in 0usize..8,
         fpick in 0u8..4, p in 0.0f64..1.0, period in 1u64..4,
         seed in 0u64..500,
     ) {
-        let scenario = Scenario::new(topology(tpick, a, b), Workload::Single { payload: 7 })
+        let scenario = Scenario::new(topology(tpick, a, b), workload(wpick))
             .faults(fault_plan(fpick, p, period))
             .seed(seed);
         let out = scenario.clone().run();
