@@ -21,16 +21,16 @@
 //!
 //! ## Adaptive phase termination
 //!
-//! [`broadcast_unknown`] runs the pipeline **adaptively**, porting the
-//! quiescence-driven driver PR 2 built for Theorem 1.1 (see the
+//! [`broadcast_unknown`] runs the pipeline **adaptively**, on the driver
+//! skeleton it shares with Theorem 1.1 (`crate::adaptive`; see the
 //! `single_message` module docs for the in-model justification of status
 //! rounds and the shared cursor): the wave closes when the frontier stops,
-//! construction runs the rank-block skip loop shared through
-//! `crate::adaptive`, labeling processes `d` frontiers only while they are
-//! alive, dissemination windows close once every ring with an open batch
-//! can decode it, and handoff slots collapse to a single probe when the
-//! receiving roots already hold the batch. Every phase stays hard-capped by
-//! its paper-sized window and [`GhkMultiPlan::total_rounds`] bounds any run.
+//! construction runs the shared rank-block skip loop, labeling processes
+//! `d` frontiers only while they are alive, dissemination windows close
+//! once every ring with an open batch can decode it, and handoff slots
+//! collapse to a single probe when the receiving roots already hold the
+//! batch. Every phase stays hard-capped by its paper-sized window and
+//! [`GhkMultiPlan::total_rounds`] bounds any run.
 //!
 //! Two structural notes. Batch windows *pipeline* across rings — in window
 //! `w`, ring `j` disseminates batch `w − j` while ring `j + 1` receives its
@@ -44,20 +44,22 @@
 //! ring constructions).
 
 use crate::adaptive::{
-    answer_cons_probe, cons_status_budget, drive_construction, vote_quiet, Advance, ConsDriver,
-    ConsProbe, Ladder, LossEstimator, Pacing, Segment, WindowEnd, HANDOFF_RETRIES,
+    answer_cons_probe, checked_act, cons_status_budget, drive_construction, finish_ladder,
+    handoff_with_retry, narrow, Advance, ConsProbe, Count, Cursor, CursorCell, LossEstimator,
+    Pacing, PipelineDriver, PipelineNode, Pump, Segment, WindowEnd,
 };
 use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
 use crate::decay::DecaySchedule;
 use crate::layering::{Beep, CollisionWaveLayering};
 use crate::params::Params;
+use crate::run::Phases;
 use crate::schedule::{
     EmptyBehavior, MmvScheduleNode, SchedAudit, SchedLabels, SchedMsg, ScheduleConfig, SlowKey,
 };
 use crate::virtual_labels::{VirtualLabelNode, VlMsg, VlSchedule};
 use radio_sim::graph::bfs_layering;
 use radio_sim::model::PacketBits;
-use radio_sim::trace::{RoundStats, RunStats};
+use radio_sim::trace::RunStats;
 use radio_sim::{
     Action, CollisionMode, DoneCheck, FaultPlan, Graph, NodeId, Observation, Protocol, Simulator,
     Topology, Wake,
@@ -68,46 +70,13 @@ use rlnc::{CodedPacket, Decoder};
 use std::cell::Cell;
 use std::rc::Rc;
 
-/// Round accounting of one adaptive Theorem 1.3 run, by phase. Work counters
-/// tally rounds actually spent inside each phase; `status` tallies every
-/// dedicated beep round. Runs without the adaptive driver still account for
-/// every executed round — [`broadcast_known`] has no setup phases, so it
-/// reports all its rounds as `disseminate` work — keeping
-/// `phases.total() == stats.rounds` an invariant of every entry point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MultiPhaseRounds {
-    /// Collision-wave work rounds.
-    pub wave: u64,
-    /// Construction work rounds (2-slotted).
-    pub construct: u64,
-    /// Virtual-labeling work rounds (2-slotted).
-    pub label: u64,
-    /// Dissemination-window work rounds, summed over windows.
-    pub disseminate: u64,
-    /// Handoff work rounds, summed over handoffs.
-    pub handoff: u64,
-    /// Recovery-ladder work rounds (rung-1 window replays and rung-2
-    /// regional FEC floods); 0 unless a handoff failed on a faulted run.
-    pub repair: u64,
-    /// No-knowledge Decay fallback rounds (faulted runs whose pipeline failed).
-    pub fallback: u64,
-    /// Status-beep rounds, all phases.
-    pub status: u64,
-}
-
-impl MultiPhaseRounds {
-    /// Total rounds executed.
-    pub fn total(&self) -> u64 {
-        self.wave
-            + self.construct
-            + self.label
-            + self.disseminate
-            + self.handoff
-            + self.repair
-            + self.fallback
-            + self.status
-    }
-}
+/// Round accounting of one Theorem 1.3 run, by phase: the unified
+/// [`Phases`] record, whose fields are exactly this pipeline's phases. Runs
+/// without the adaptive driver still account for every executed round —
+/// [`broadcast_known`] has no setup phases, so it reports all its rounds as
+/// `disseminate` work — keeping `phases.total() == stats.rounds` an
+/// invariant of every entry point.
+pub type MultiPhaseRounds = Phases;
 
 /// Outcome of a multi-message run.
 #[derive(Clone, Debug)]
@@ -291,30 +260,6 @@ pub fn broadcast_known_faulted(
         fallback_entry: None,
         peak_state_bytes,
     }
-}
-
-/// The pre-facade eight-positional-argument signature of [`broadcast_known`],
-/// kept verbatim so downstream code can migrate on its own schedule.
-#[deprecated(note = "use `broadcast_known` with `KnownRunOpts`, or the `run::Scenario` facade")]
-#[expect(clippy::too_many_arguments, reason = "legacy signature kept only for compatibility")]
-pub fn broadcast_known_legacy(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    slow_key: SlowKey,
-    empty: EmptyBehavior,
-    max_rounds: u64,
-) -> MultiOutcome {
-    broadcast_known(
-        graph,
-        source,
-        messages,
-        params,
-        seed,
-        KnownRunOpts { slow_key, empty, max_rounds, ..KnownRunOpts::default() },
-    )
 }
 
 /// How messages are grouped for coding.
@@ -667,29 +612,6 @@ pub enum MultiProbe {
     Undecoded,
 }
 
-/// The shared per-round directive of the adaptive Theorem 1.3 driver: a
-/// published [`Segment`] of work rounds (reusing [`GhkMultiPhase`] with
-/// *virtual* offsets that exclude status rounds), or a status round.
-///
-/// All nodes observe the same status-round transcript via the idealized
-/// echo (see the `single_message` module docs), so they all hold the same
-/// cursor; the cell materializes that shared knowledge without touching the
-/// `Protocol` trait. Work segments are set once per batch; cursor-mode wake
-/// hints sleep nodes through their provably-inert rounds but never past the
-/// segment end (see `crate::adaptive`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MultiStep {
-    /// Before the first round.
-    Idle,
-    /// A published segment of work rounds.
-    Work(Segment<GhkMultiPhase>),
-    /// A status round probing for pending work.
-    Status(MultiProbe),
-}
-
-/// Shared handle to the adaptive pipeline's current [`MultiStep`].
-pub type MultiStepCell = Rc<Cell<MultiStep>>;
-
 /// The schedule instance of the window a node is currently in.
 #[derive(Clone, Debug)]
 struct ActiveWindow {
@@ -710,7 +632,7 @@ struct BatchState {
 ///
 /// Runs in one of two modes: **fixed** (the default) derives its phase from
 /// the round number via [`GhkMultiPlan::phase`]; **adaptive**
-/// ([`GhkMultiNode::with_cursor`]) reads the shared [`MultiStepCell`] the
+/// ([`GhkMultiNode::with_cursor`]) reads the shared [`Cursor`] cell the
 /// quiescence-driven driver advances.
 #[derive(Clone, Debug)]
 pub struct GhkMultiNode {
@@ -718,7 +640,7 @@ pub struct GhkMultiNode {
     params: Params,
     plan: GhkMultiPlan,
     payload_bits: usize,
-    step: Option<MultiStepCell>,
+    step: Option<CursorCell<GhkMultiPhase, MultiProbe>>,
     wave: CollisionWaveLayering,
     /// Frontier reached this node since the last wave status round.
     wave_dirty: bool,
@@ -800,7 +722,7 @@ impl GhkMultiNode {
 
     /// Switches the node to adaptive mode: it follows the shared step cell
     /// instead of the round-derived fixed phase layout.
-    pub fn with_cursor(mut self, step: MultiStepCell) -> Self {
+    pub fn with_cursor(mut self, step: CursorCell<GhkMultiPhase, MultiProbe>) -> Self {
         self.step = Some(step);
         self
     }
@@ -1078,6 +1000,63 @@ impl GhkMultiNode {
         self.fec_repair = fec_repair;
     }
 
+    /// Collects a fountain packet heard in `obs` for a batch this node can
+    /// not decode yet; it decodes at the node's next act (`decode_ready`).
+    fn collect_fec(&mut self, obs: &Observation<GhkMMsg>) {
+        let Observation::Message(p) = obs else { return };
+        let GhkMMsg::Fec { batch, packet } = &**p else { return };
+        let klen = self.plan.batch_range(*batch).len();
+        let slot = &mut self.batches[*batch as usize];
+        if slot.decoded.is_none() && !slot.fec.as_ref().is_some_and(Decoder::can_decode) {
+            let fec = slot.fec.get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
+            fec.insert(packet.clone());
+        }
+    }
+
+    /// The batches a rung-2 regional flood of `window` covers at `ring`: the
+    /// ring's own and the one inbound from the previous ring.
+    fn region_batches(&self, window: u32, ring: u32) -> [Option<u32>; 2] {
+        let inbound = ring.checked_sub(1).and_then(|r| self.plan.batch_in_window(window, r));
+        [self.plan.batch_in_window(window, ring), inbound]
+    }
+
+    /// Whether the node holds or can finalize anything a recovery flood
+    /// relays: a live schedule, a pending FEC reception, or a decodable
+    /// batch.
+    fn holds_anything(&self) -> bool {
+        self.sched.is_some()
+            || self.fec_pending.is_some()
+            || self
+                .batches
+                .iter()
+                .any(|s| s.decoded.is_some() || s.fec.as_ref().is_some_and(Decoder::can_decode))
+    }
+
+    /// One recovery-flood act: finalize whatever the pipeline left pending,
+    /// then, on the Decay schedule, transmit a fountain packet for one of
+    /// the held `batches` (rotating by `offset`).
+    fn flood(
+        &mut self,
+        batches: impl Iterator<Item = u32>,
+        offset: u64,
+        rng: &mut SmallRng,
+    ) -> Action<GhkMMsg> {
+        self.harvest_window();
+        self.decode_ready();
+        let held: Vec<u32> =
+            batches.filter(|&b| self.batches[b as usize].decoded.is_some()).collect();
+        let Some(&batch) = held.get(offset as usize % held.len().max(1)) else {
+            return Action::Listen;
+        };
+        if self.decay.fires(offset, rng) {
+            let decoded = self.batches[batch as usize].decoded.as_ref().expect("held");
+            if let Some(packet) = Decoder::with_messages(decoded).random_combination(rng) {
+                return Action::Transmit(GhkMMsg::Fec { batch, packet });
+            }
+        }
+        Action::Listen
+    }
+
     /// Decodes every full-rank pending FEC receiver into its batch slot so
     /// the node relays (instead of merely holding rank) during the fallback.
     fn decode_ready(&mut self) {
@@ -1092,6 +1071,31 @@ impl GhkMultiNode {
                 }
             }
         }
+    }
+}
+
+impl PipelineNode for GhkMultiNode {
+    type Pos = GhkMultiPhase;
+    type Probe = MultiProbe;
+
+    fn construct(offset: u64) -> GhkMultiPhase {
+        GhkMultiPhase::Construct { offset }
+    }
+
+    fn cons(probe: ConsProbe) -> MultiProbe {
+        MultiProbe::Cons(probe)
+    }
+
+    fn consuming(probe: MultiProbe) -> bool {
+        matches!(probe, MultiProbe::WaveProgress | MultiProbe::Cons(ConsProbe::NewActivation))
+    }
+
+    fn complete(&self) -> bool {
+        self.is_complete()
+    }
+
+    fn resident_bytes(&self) -> usize {
+        GhkMultiNode::resident_bytes(self)
     }
 }
 
@@ -1197,18 +1201,10 @@ impl GhkMultiNode {
                 // including ring-less strays — sleeps until a delivery's
                 // observation re-wakes them.
                 let Some((ring, _)) = self.ring else { return sleep };
-                let own = self.plan.batch_in_window(window, ring);
-                let inbound =
-                    ring.checked_sub(1).and_then(|r| self.plan.batch_in_window(window, r));
-                if own.is_none() && inbound.is_none() {
+                if self.region_batches(window, ring).iter().all(Option::is_none) {
                     return sleep;
                 }
-                if self.sched.is_some()
-                    || self.fec_pending.is_some()
-                    || self.batches.iter().any(|s| {
-                        s.decoded.is_some() || s.fec.as_ref().is_some_and(Decoder::can_decode)
-                    })
-                {
+                if self.holds_anything() {
                     Wake::Now
                 } else {
                     sleep
@@ -1218,12 +1214,7 @@ impl GhkMultiNode {
                 // Holders (and nodes with pending decoders to finalize) act
                 // every round; everyone else sleeps until a delivery's
                 // observation re-wakes them.
-                if self.sched.is_some()
-                    || self.fec_pending.is_some()
-                    || self.batches.iter().any(|s| {
-                        s.decoded.is_some() || s.fec.as_ref().is_some_and(Decoder::can_decode)
-                    })
-                {
+                if self.holds_anything() {
                     Wake::Now
                 } else {
                     sleep
@@ -1263,8 +1254,8 @@ impl Protocol for GhkMultiNode {
                 return Wake::Now;
             }
             return match cell.get() {
-                MultiStep::Idle | MultiStep::Status(_) => Wake::Now,
-                MultiStep::Work(seg) => self.segment_wake(&seg, round),
+                Cursor::Idle | Cursor::Status(_) => Wake::Now,
+                Cursor::Work(seg) => self.segment_wake(&seg, round),
             };
         }
         let layered = self.wave.level().is_some();
@@ -1342,22 +1333,8 @@ impl Protocol for GhkMultiNode {
     }
 
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<GhkMMsg> {
-        // Contract check for the wake hints (both modes): a node whose hint
-        // postponed past this round must not transmit if polled anyway
-        // (dense/per-step A/B paths poll everyone).
-        let hinted_idle = cfg!(debug_assertions)
-            && match self.next_wake(round) {
-                Wake::Now => false,
-                Wake::At(r) => r > round,
-                Wake::Idle => true,
-            };
-        let action = self.act_inner(round, rng);
-        debug_assert!(
-            !(hinted_idle && action.is_transmit()),
-            "hinted-idle node {} transmitted at round {round}",
-            self.id
-        );
-        action
+        let id = self.id;
+        checked_act(self, id, round, |n| n.act_inner(round, rng))
     }
 
     fn observe(&mut self, round: u64, obs: Observation<GhkMMsg>, rng: &mut SmallRng) {
@@ -1368,17 +1345,15 @@ impl Protocol for GhkMultiNode {
 impl GhkMultiNode {
     fn act_inner(&mut self, round: u64, rng: &mut SmallRng) -> Action<GhkMMsg> {
         let phase = match self.step.as_ref().map(|c| c.get()) {
-            Some(MultiStep::Idle) => return Action::Listen,
-            Some(MultiStep::Status(p)) => {
+            Some(Cursor::Idle) => return Action::Listen,
+            Some(Cursor::Status(p)) => {
                 return if self.answer(p) {
                     Action::Transmit(GhkMMsg::Status)
                 } else {
                     Action::Listen
                 };
             }
-            Some(MultiStep::Work(seg)) => {
-                seg.pos_at(round).expect("act within the published segment")
-            }
+            Some(Cursor::Work(seg)) => seg.pos_at(round).expect("act within the published segment"),
             None => self.plan.phase(round),
         };
         self.flush_fec(phase);
@@ -1474,50 +1449,14 @@ impl GhkMultiNode {
             GhkMultiPhase::Regional { window, offset } => {
                 // Rung-2 recovery: region holders flood the failed window's
                 // batches (their own and the one inbound from the previous
-                // ring) on the Decay schedule with fountain packets.
-                self.harvest_window();
-                self.decode_ready();
-                let Some((ring, _)) = self.ring else { return Action::Listen };
-                let held: Vec<u32> = [
-                    self.plan.batch_in_window(window, ring),
-                    ring.checked_sub(1).and_then(|r| self.plan.batch_in_window(window, r)),
-                ]
-                .into_iter()
-                .flatten()
-                .filter(|&b| self.batches[b as usize].decoded.is_some())
-                .collect();
-                let Some(&batch) = held.get(offset as usize % held.len().max(1)) else {
-                    return Action::Listen;
-                };
-                if self.decay.fires(offset, rng) {
-                    let decoded = self.batches[batch as usize].decoded.as_ref().expect("held");
-                    let src = Decoder::with_messages(decoded);
-                    if let Some(packet) = src.random_combination(rng) {
-                        return Action::Transmit(GhkMMsg::Fec { batch, packet });
-                    }
-                }
-                Action::Listen
+                // ring); ring-less strays only finalize their decoders.
+                let region = self.ring.map(|(ring, _)| self.region_batches(window, ring));
+                self.flood(region.into_iter().flatten().flatten(), offset, rng)
             }
             GhkMultiPhase::Fallback { offset } => {
-                // No-knowledge recovery: finalize whatever the pipeline left
-                // pending, then flood held batches on the Decay schedule with
-                // fountain packets — no ring, window, or label bookkeeping.
-                self.harvest_window();
-                self.decode_ready();
-                let held: Vec<u32> = (0..self.plan.batch_count)
-                    .filter(|&b| self.batches[b as usize].decoded.is_some())
-                    .collect();
-                let Some(&batch) = held.get(offset as usize % held.len().max(1)) else {
-                    return Action::Listen;
-                };
-                if self.decay.fires(offset, rng) {
-                    let decoded = self.batches[batch as usize].decoded.as_ref().expect("held");
-                    let src = Decoder::with_messages(decoded);
-                    if let Some(packet) = src.random_combination(rng) {
-                        return Action::Transmit(GhkMMsg::Fec { batch, packet });
-                    }
-                }
-                Action::Listen
+                // No-knowledge recovery: no ring, window, or label
+                // bookkeeping — every held batch is fair game.
+                self.flood(0..self.plan.batch_count, offset, rng)
             }
             GhkMultiPhase::Done => {
                 self.harvest_window();
@@ -1528,23 +1467,18 @@ impl GhkMultiNode {
 
     fn observe_inner(&mut self, round: u64, obs: Observation<GhkMMsg>, rng: &mut SmallRng) {
         let phase = match self.step.as_ref().map(|c| c.get()) {
-            Some(MultiStep::Idle) | Some(MultiStep::Status(_)) => return,
-            Some(MultiStep::Work(seg)) => {
+            Some(Cursor::Idle) | Some(Cursor::Status(_)) => return,
+            Some(Cursor::Work(seg)) => {
                 seg.pos_at(round).expect("observation within the published segment")
             }
             None => self.plan.phase(round),
         };
         match phase {
             GhkMultiPhase::Wave { offset } => {
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        GhkMMsg::Wave(b) => Observation::packet(*b),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                let mapped = narrow(&obs, |msg| match msg {
+                    GhkMMsg::Wave(b) => Some(*b),
+                    _ => None,
+                });
                 let was_layered = self.wave.level().is_some();
                 self.wave.observe(offset, mapped, rng);
                 if !was_layered && self.wave.level().is_some() {
@@ -1556,15 +1490,10 @@ impl GhkMultiNode {
                 if offset % 2 != u64::from(ring % 2) {
                     return;
                 }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        GhkMMsg::Gst(m) => Observation::packet(*m),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                let mapped = narrow(&obs, |msg| match msg {
+                    GhkMMsg::Gst(m) => Some(*m),
+                    _ => None,
+                });
                 if let Some(c) = self.cons.as_mut() {
                     c.observe(offset / 2, mapped, rng);
                 }
@@ -1574,15 +1503,10 @@ impl GhkMultiNode {
                 if offset % 2 != u64::from(ring % 2) {
                     return;
                 }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        GhkMMsg::Vl(m) => Observation::packet(*m),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                let mapped = narrow(&obs, |msg| match msg {
+                    GhkMMsg::Vl(m) => Some(*m),
+                    _ => None,
+                });
                 if let Some(v) = self.vl.as_mut() {
                     v.observe(offset / 2, mapped, rng);
                 }
@@ -1599,19 +1523,12 @@ impl GhkMultiNode {
                     offset
                 };
                 let Some(active) = self.sched.as_mut() else { return };
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        GhkMMsg::Sched { batch, msg } if *batch == active.batch => {
-                            Observation::packet(msg.clone())
-                        }
-                        // Other batches' packets are noise for this node —
-                        // dropped here without ever copying the payload.
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                // Other batches' packets are noise for this node — dropped
+                // here without ever copying the payload.
+                let mapped = narrow(&obs, |msg| match msg {
+                    GhkMMsg::Sched { batch, msg } if *batch == active.batch => Some(msg.clone()),
+                    _ => None,
+                });
                 active.node.observe(offset, mapped, rng);
             }
             GhkMultiPhase::Handoff { window, offset: _ } => {
@@ -1649,75 +1566,30 @@ impl GhkMultiNode {
                 // — churn/mobility may have orphaned them mid-pipeline): a
                 // member still missing a batch collects its fountain
                 // packets, decoding at its next act (`decode_ready`).
-                let in_region = match self.ring {
-                    Some((r, _)) => {
-                        self.plan.batch_in_window(window, r).is_some()
-                            || r.checked_sub(1)
-                                .and_then(|p| self.plan.batch_in_window(window, p))
-                                .is_some()
-                    }
-                    None => true,
-                };
-                if !in_region {
-                    return;
-                }
-                if let Observation::Message(p) = &obs {
-                    if let GhkMMsg::Fec { batch, packet } = &**p {
-                        let klen = self.plan.batch_range(*batch).len();
-                        let slot = &mut self.batches[*batch as usize];
-                        if slot.decoded.is_none()
-                            && !slot.fec.as_ref().is_some_and(Decoder::can_decode)
-                        {
-                            let fec = slot
-                                .fec
-                                .get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
-                            fec.insert(packet.clone());
-                        }
-                    }
+                let in_region = self.ring.is_none_or(|(r, _)| {
+                    self.region_batches(window, r).iter().any(Option::is_some)
+                });
+                if in_region {
+                    self.collect_fec(&obs);
                 }
             }
             GhkMultiPhase::Fallback { .. } => {
                 // Ring-agnostic adoption: any node still missing a batch
-                // collects fountain packets for it, decoding at its next act
-                // (`decode_ready`) so coverage spreads hop by hop.
-                if let Observation::Message(p) = &obs {
-                    if let GhkMMsg::Fec { batch, packet } = &**p {
-                        let klen = self.plan.batch_range(*batch).len();
-                        let slot = &mut self.batches[*batch as usize];
-                        if slot.decoded.is_none()
-                            && !slot.fec.as_ref().is_some_and(Decoder::can_decode)
-                        {
-                            let fec = slot
-                                .fec
-                                .get_or_insert_with(|| Decoder::new(klen, self.payload_bits));
-                            fec.insert(packet.clone());
-                        }
-                    }
-                }
+                // collects fountain packets for it, so coverage spreads hop
+                // by hop.
+                self.collect_fec(&obs);
             }
             GhkMultiPhase::Done => {}
         }
     }
 }
 
-/// The adaptive Theorem 1.3 driver: owns the simulator and the shared phase
-/// cursor, advances phases on status-round quiescence, and hard-caps every
-/// phase at its [`GhkMultiPlan`] budget so [`GhkMultiPlan::total_rounds`]
-/// bounds any run.
+/// The adaptive Theorem 1.3 driver: the shared [`Pump`] plus the plan and the
+/// handoff FEC repair adaptation. Every phase is hard-capped at its
+/// [`GhkMultiPlan`] budget.
 struct MultiDriver<T: Topology> {
-    sim: Simulator<GhkMultiNode, T>,
-    step: MultiStepCell,
+    pump: Pump<GhkMultiNode, T>,
     plan: GhkMultiPlan,
-    beep: u64,
-    quiescence_slack: u32,
-    cons_status_left: u64,
-    label_status_left: u64,
-    phases: MultiPhaseRounds,
-    completion: Option<u64>,
-    /// True exactly when the simulator carries a fault plan — gates voting,
-    /// handoff retries, the fec-repair adaptation, and the recovery ladder,
-    /// so `FaultPlan::none()` runs stay bit-identical by construction.
-    recovery: bool,
     /// Sliding-window estimator driving the handoff FEC repair rate (see
     /// [`LossEstimator`]); sampled once per dissemination window, so repair
     /// relaxes after bursty loss instead of ratcheting up forever.
@@ -1725,171 +1597,9 @@ struct MultiDriver<T: Topology> {
     /// The repair rate last echoed to the nodes (initially the knob, which
     /// the constructor baked in); echoes only on change.
     fec_echoed: u32,
-    /// Rung bookkeeping for the staged recovery ladder.
-    ladder: Ladder,
-    /// Running peak of the summed per-node resident state (see
-    /// [`MultiDriver::sample_state`]).
-    peak_nodes: usize,
 }
 
 impl<T: Topology> MultiDriver<T> {
-    /// Moves the shared cursor: every cell change force-wakes all nodes
-    /// (their hints were computed against the outgoing cell).
-    fn publish(&mut self, step: MultiStep) {
-        self.sim.wake_all();
-        self.step.set(step);
-    }
-
-    /// Folds the current per-node resident state into the running peak.
-    /// Called at phase boundaries (the retirement sweeps and window ends),
-    /// where the state high-water marks sit.
-    fn sample_state(&mut self) {
-        let now: usize = self.sim.nodes().iter().map(GhkMultiNode::resident_bytes).sum();
-        self.peak_nodes = self.peak_nodes.max(now);
-    }
-
-    fn exec(&mut self, step: MultiStep) -> RoundStats {
-        self.publish(step);
-        let stats = self.sim.step();
-        // Completion is reception-driven (`is_complete`'s pending-decoder
-        // arms flip only when a packet is inserted), so the O(n · batches)
-        // all-nodes scan is needed only after delivery rounds.
-        if self.completion.is_none()
-            && stats.deliveries > 0
-            && self.sim.nodes().iter().all(GhkMultiNode::is_complete)
-        {
-            self.completion = Some(self.sim.round());
-        }
-        stats
-    }
-
-    /// Publishes `len` consecutive work rounds starting at phase position
-    /// `pos` as one [`Segment`] and runs them through the engine's wake fast
-    /// path, stopping after delivery rounds to re-evaluate completion
-    /// (exactly the per-step driver's delivery-gated scan). Returns the
-    /// number of rounds actually executed.
-    fn exec_segment(&mut self, pos: GhkMultiPhase, len: u64) -> u64 {
-        let start = self.sim.round();
-        self.publish(MultiStep::Work(Segment { start, len, pos }));
-        let mut run = 0u64;
-        while run < len && !self.done() {
-            let seg = self.sim.run_segment(len - run, true);
-            run += seg.rounds;
-            if seg.stopped_on_delivery
-                && self.completion.is_none()
-                && self.sim.nodes().iter().all(GhkMultiNode::is_complete)
-            {
-                self.completion = Some(self.sim.round());
-            }
-        }
-        run
-    }
-
-    fn done(&self) -> bool {
-        self.completion.is_some()
-    }
-
-    /// Runs one status round; `true` iff the driver concludes the probe is
-    /// quiet. On fault-free runs this is the omniscient census
-    /// (`transmitters == 0`), untouched. On faulted runs a fault-touched
-    /// status round is confirmed by majority vote over a small window (see
-    /// [`vote_quiet`]); take-style probes that consume dirty flags are never
-    /// re-probed.
-    fn quiet(&mut self, probe: MultiProbe) -> bool {
-        self.phases.status += 1;
-        let first = self.exec(MultiStep::Status(probe));
-        if !self.recovery {
-            return first.transmitters == 0;
-        }
-        let votable =
-            !matches!(probe, MultiProbe::WaveProgress | MultiProbe::Cons(ConsProbe::NewActivation));
-        let v = vote_quiet(first, votable, || {
-            self.phases.status += 1;
-            match probe {
-                MultiProbe::Cons(_) => {
-                    self.cons_status_left = self.cons_status_left.saturating_sub(1);
-                }
-                MultiProbe::Unlabelled | MultiProbe::LabelFrontier { .. } => {
-                    self.label_status_left = self.label_status_left.saturating_sub(1);
-                }
-                _ => {}
-            }
-            self.exec(MultiStep::Status(probe))
-        });
-        if v.overturned {
-            self.sim.stats_mut().votes_overturned += 1;
-        }
-        v.quiet
-    }
-
-    /// Worst-case rounds still available under [`GhkMultiPlan::total_rounds`]
-    /// — the shared pool retries and the fallback draw from.
-    fn budget_left(&self) -> u64 {
-        self.plan.total_rounds().saturating_sub(self.sim.round())
-    }
-
-    /// A labeling status round, charged against the labeling status budget.
-    fn label_quiet(&mut self, probe: MultiProbe) -> Option<bool> {
-        if self.label_status_left == 0 {
-            return None;
-        }
-        self.label_status_left -= 1;
-        Some(self.quiet(probe))
-    }
-
-    /// One adaptive open-ended window: `beep_interval` work rounds, one
-    /// status round, until the probe has stayed quiet for
-    /// `quiescence_slack` consecutive status rounds or `budget` (work +
-    /// status rounds) is exhausted. With `probe_first`, the probe runs
-    /// before any work — a window with nothing pending collapses to a
-    /// single status round (the handoff-skip case).
-    ///
-    /// Spend is measured as the simulator-round delta, so the extra status
-    /// rounds a majority vote injects on faulted runs charge this window's
-    /// budget (fault-free runs execute exactly the rounds the old per-call
-    /// counter did). Returns whether the window ended on quiescence or by
-    /// exhausting its budget with the probe still busy — the failed-handoff
-    /// signal the retry logic keys on.
-    fn window(
-        &mut self,
-        budget: u64,
-        probe: MultiProbe,
-        probe_first: bool,
-        work: impl Fn(u64) -> GhkMultiPhase,
-        count: fn(&mut MultiPhaseRounds) -> &mut u64,
-    ) -> WindowEnd {
-        let slack = self.quiescence_slack.max(1);
-        let mut offset = 0u64;
-        let start = self.sim.round();
-        let spent = |sim: &Simulator<GhkMultiNode, T>| sim.round() - start;
-        let mut quiet_streak = 0u32;
-        if probe_first && !self.done() && self.quiet(probe) {
-            return WindowEnd::Quiesced;
-        }
-        while spent(&self.sim) < budget && !self.done() {
-            let len = self.beep.min(budget - spent(&self.sim));
-            let run = self.exec_segment(work(offset), len);
-            *count(&mut self.phases) += run;
-            offset += run;
-            if spent(&self.sim) >= budget || self.done() {
-                break;
-            }
-            if self.quiet(probe) {
-                quiet_streak += 1;
-                if quiet_streak >= slack {
-                    return WindowEnd::Quiesced;
-                }
-            } else {
-                quiet_streak = 0;
-            }
-        }
-        if self.done() {
-            WindowEnd::Quiesced
-        } else {
-            WindowEnd::Exhausted
-        }
-    }
-
     /// Phase 3: adaptive virtual labeling. `d` frontiers are processed in
     /// order; the phase ends early once every node is labelled or a frontier
     /// comes up empty (labels only ever derive `d + 1` from `d`, so an empty
@@ -1898,25 +1608,22 @@ impl<T: Topology> MultiDriver<T> {
     fn label(&mut self) {
         let vl = self.plan.vl;
         let per_d = vl.per_d_rounds();
+        self.pump.status_left = self.plan.label_status;
         for d in 0..vl.d_values() {
-            if self.done() {
+            if self.pump.done() {
                 return;
             }
-            match self.label_quiet(MultiProbe::Unlabelled) {
-                Some(true) => return, // everyone labelled
-                Some(false) => {}
-                None => {
-                    // Status budget gone: run the rest fixed (cap-bounded).
-                    self.label_run(u64::from(d) * per_d, u64::from(vl.d_values() - d) * per_d);
-                    return;
-                }
-            }
-            match self.label_quiet(MultiProbe::LabelFrontier { d }) {
-                Some(true) => return, // dead frontier: no further progress
-                Some(false) => {}
-                None => {
-                    self.label_run(u64::from(d) * per_d, u64::from(vl.d_values() - d) * per_d);
-                    return;
+            for probe in [MultiProbe::Unlabelled, MultiProbe::LabelFrontier { d }] {
+                match self.pump.status_quiet(probe) {
+                    // Everyone labelled, or a dead frontier: no further
+                    // progress.
+                    Some(true) => return,
+                    Some(false) => {}
+                    None => {
+                        // Status budget gone: run the rest fixed (cap-bounded).
+                        self.label_run(u64::from(d) * per_d, u64::from(vl.d_values() - d) * per_d);
+                        return;
+                    }
                 }
             }
             self.label_run(u64::from(d) * per_d, per_d);
@@ -1926,100 +1633,48 @@ impl<T: Topology> MultiDriver<T> {
     /// Runs `len` labeling schedule rounds from schedule round `start`,
     /// 2-slotted by ring parity, as one published segment.
     fn label_run(&mut self, start: u64, len: u64) {
-        let run = self.exec_segment(GhkMultiPhase::Label { offset: 2 * start }, 2 * len);
-        self.phases.label += run;
+        let run = self.pump.exec_segment(GhkMultiPhase::Label { offset: 2 * start }, 2 * len);
+        self.pump.phases.label += run;
     }
 
-    /// Rung 1 of the recovery [`Ladder`]: replay the *failed window's*
-    /// dissemination (re-seeding each ring's schedule from its decoded
-    /// batches — `ensure_window` rebuilds the dropped schedule nodes) and a
-    /// fresh handoff window, drawn from the remaining worst-case pool, while
-    /// every other window's state stays intact. Returns `true` iff the run
-    /// completed or the replayed handoff quiesced.
-    fn ring_repair(&mut self, window: u32) -> bool {
-        if self.budget_left() == 0 {
-            return false;
+    /// Faulted runs drive the handoff repair rate from the *measured*
+    /// per-copy erasure rate over a sliding window of recent per-window
+    /// deltas (see [`LossEstimator`]) instead of the configured knob,
+    /// echoing it to the nodes only when it changes (never on clean
+    /// channels, where the estimator is the identity). The windowing lets
+    /// repair relax once a bursty loss interval ages out of the window.
+    fn echo_fec_repair(&mut self) {
+        let s = self.pump.sim.stats();
+        let eff = self.loss.observe(s.erased, s.deliveries);
+        if eff != self.fec_echoed {
+            self.fec_echoed = eff;
+            self.pump.echo(|n| n.set_fec_repair(eff));
         }
-        self.ladder.ring();
-        self.sim.stats_mut().ring_repairs += 1;
-        let budget = self.plan.window_budget.min(self.budget_left());
-        let _ = self.window(
-            budget,
-            MultiProbe::WindowUninformed { window },
-            false,
-            |offset| GhkMultiPhase::Disseminate { window, offset },
-            |p| &mut p.repair,
-        );
-        if self.done() {
-            return true;
-        }
-        let budget = self.plan.handoff_budget.min(self.budget_left());
-        self.window(
-            budget,
-            MultiProbe::HandoffPending { window },
-            true,
-            |offset| GhkMultiPhase::Handoff { window, offset },
-            |p| &mut p.repair,
-        ) == WindowEnd::Quiesced
-    }
-
-    /// Rung 2 of the recovery [`Ladder`]: regional FEC re-dissemination —
-    /// holders in the rings feeding the failed window (plus the ring right
-    /// behind them) flood the window's batches with fountain packets,
-    /// covering churn/mobility that moved the frontier across ring
-    /// boundaries. Budgeted at two handoff windows from the remaining pool.
-    fn regional_repair(&mut self, window: u32) -> bool {
-        if self.budget_left() == 0 {
-            return false;
-        }
-        self.ladder.regional();
-        self.sim.stats_mut().regional_repairs += 1;
-        let budget = (2 * self.plan.handoff_budget).min(self.budget_left());
-        self.window(
-            budget,
-            MultiProbe::HandoffPending { window },
-            false,
-            |offset| GhkMultiPhase::Regional { window, offset },
-            |p| &mut p.repair,
-        ) == WindowEnd::Quiesced
-    }
-
-    /// Climbs rungs 1–2 for the failed window; `true` iff a rung recovered
-    /// the handoff (or the run completed outright).
-    fn climb_ladder(&mut self, window: u32) -> bool {
-        if self.ring_repair(window) || self.done() {
-            return true;
-        }
-        self.regional_repair(window) || self.done()
     }
 
     fn run(mut self) -> MultiOutcome {
-        if self.sim.nodes().iter().all(GhkMultiNode::is_complete) {
-            self.completion = Some(0);
-        }
-        if !self.done() {
+        let plan = self.plan;
+        let p = &mut self.pump;
+        if !p.done() {
             // Phase 1: the collision wave.
-            let _ = self.window(
-                self.plan.wave_budget,
+            let _ = p.window(
+                plan.wave_budget,
                 MultiProbe::WaveProgress,
                 false,
                 |offset| GhkMultiPhase::Wave { offset },
                 |p| &mut p.wave,
             );
         }
-        if !self.done() {
+        if !p.done() {
             // Phase 2: parallel per-ring GST construction (shared driver).
-            let cons = self.plan.cons;
-            drive_construction(&mut self, cons);
+            drive_construction(p, plan.cons);
         }
         // Sample before the finalize echo: every layered node's construction
         // machine is still alive here.
-        self.sample_state();
+        p.sample_state();
         // End-of-construction echo (see `single_message::Driver::run`).
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).finalize_construction();
-        }
-        if !self.done() {
+        p.echo(GhkMultiNode::finalize_construction);
+        if !p.done() {
             // Phase 3: adaptive virtual labeling.
             self.label();
         }
@@ -2029,168 +1684,117 @@ impl<T: Topology> MultiDriver<T> {
         // The sweep's `node_mut` re-wakes are trace-neutral: every cursor
         // change starts with `wake_all`, so the next step polls all nodes
         // regardless.
-        self.sample_state();
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).retire_construction();
-        }
+        self.pump.sample_state();
+        self.pump.echo(GhkMultiNode::retire_construction);
         // Phase 4: the batch pipeline. Ring j disseminates batch w - j in
         // window w while ring j + 1 receives its handoff — windows close as
         // soon as every active ring can decode, and handoff slots collapse
         // to one probe when the receiving roots already hold the batch.
-        'windows: for w in 0..self.plan.window_count() {
-            if self.done() {
+        for w in 0..plan.window_count() {
+            if self.pump.done() {
                 break;
             }
-            let _ = self.window(
-                self.plan.window_budget,
+            let _ = self.pump.window(
+                plan.window_budget,
                 MultiProbe::WindowUninformed { window: w },
                 false,
                 |offset| GhkMultiPhase::Disseminate { window: w, offset },
                 |p| &mut p.disseminate,
             );
-            if self.done() {
+            if self.pump.done() {
                 break;
             }
-            // Faulted runs drive the handoff repair rate from the *measured*
-            // per-copy erasure rate over a sliding window of recent
-            // per-window deltas (see [`LossEstimator`]) instead of the
-            // configured knob, echoing it to the nodes only when it changes
-            // (never on clean channels, where the estimator is the
-            // identity). The windowing lets repair relax once a bursty loss
-            // interval ages out of the window.
-            if self.recovery {
-                let (erased, delivered) = {
-                    let s = self.sim.stats();
-                    (s.erased, s.deliveries)
-                };
-                let eff = self.loss.observe(erased, delivered);
-                if eff != self.fec_echoed {
-                    self.fec_echoed = eff;
-                    for i in 0..self.sim.nodes().len() {
-                        self.sim.node_mut(NodeId::new(i)).set_fec_repair(eff);
-                    }
-                }
+            if self.pump.recovery {
+                self.echo_fec_repair();
             }
-            // Handoff with retry-and-backoff: a handoff window that exhausts
-            // its budget while the receiving roots still beep is a *failed*
-            // handoff — re-publish it with a doubled budget (drawn from the
-            // worst-case pool) instead of advancing into a dead window.
-            // Retries exhausting climbs the recovery ladder for *this*
-            // window (rung-1 window replay, then rung-2 regional FEC flood);
-            // only both rungs failing abandons the pipeline toward the
-            // rung-3 fallback, conserving the remaining budget.
-            let mut budget = self.plan.handoff_budget;
-            let mut attempt = 0u32;
-            // Once the ladder has fired, the channel has already proven
-            // persistently degraded — later failed handoffs skip the
-            // doubling retry schedule and climb immediately, instead of
-            // burning the full backoff pool per window.
-            let max_retries = if self.ladder.ring_attempted() { 0 } else { HANDOFF_RETRIES };
-            loop {
-                let end = self.window(
-                    budget,
-                    MultiProbe::HandoffPending { window: w },
-                    true,
-                    |offset| GhkMultiPhase::Handoff { window: w, offset },
-                    |p| &mut p.handoff,
-                );
-                if end == WindowEnd::Quiesced || !self.recovery {
-                    break;
-                }
-                if attempt >= max_retries {
-                    if self.climb_ladder(w) {
-                        break;
-                    }
-                    break 'windows;
-                }
-                attempt += 1;
-                budget = (budget * 2).min(self.budget_left());
-                if budget == 0 {
-                    if self.climb_ladder(w) {
-                        break;
-                    }
-                    break 'windows;
-                }
-                self.sim.stats_mut().retries += 1;
+            if !handoff_with_retry(&mut self, w) {
+                break;
             }
             // Window boundary: the live schedules are at their largest.
-            self.sample_state();
+            self.pump.sample_state();
         }
-        // Staged-ladder epilogue: a faulted run that ends incomplete climbs
-        // any rung it has not yet attempted — anchored at the last window —
-        // before the last resort. Rung 3, the no-knowledge Decay fallback
-        // (the Czumaj–Davies regime), is reached only after rungs 1–2 both
-        // fired and failed: holders flood fountain packets ring-agnostically,
-        // bounded by the remaining worst-case budget; stranded nodes (no
-        // ring, no labels) finally participate. True to the no-knowledge
-        // regime, there are no status beeps in rung 3: a vote the faults
-        // corrupt must not silence the last-resort phase, so only the
-        // delivery-gated completion scan (or the cap) ends it.
-        if self.recovery && !self.done() {
-            let frontier = self.plan.window_count().saturating_sub(1);
-            if !self.ladder.ring_attempted() {
-                let _ = self.ring_repair(frontier);
-            }
-            if !self.done() && !self.ladder.regional_attempted() {
-                let _ = self.regional_repair(frontier);
-            }
-            if !self.done() && self.ladder.may_fall_back() {
-                let left = self.budget_left();
-                if left > 0 {
-                    self.ladder.arm_fallback(self.sim.round());
-                    let run = self.exec_segment(GhkMultiPhase::Fallback { offset: 0 }, left);
-                    self.phases.fallback += run;
-                    self.sim.stats_mut().fallback_rounds += run;
-                }
-            }
-        }
+        finish_ladder(&mut self, plan.window_count().saturating_sub(1));
         // End-of-run echo: harvest every pending decoder into its slot.
-        self.sample_state();
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).finalize_run();
-        }
-        if self.completion.is_none() && self.sim.nodes().iter().all(GhkMultiNode::is_complete) {
-            self.completion = Some(self.sim.round());
-        }
+        let p = &mut self.pump;
+        p.sample_state();
+        p.echo(GhkMultiNode::finalize_run);
+        p.scan();
 
         // Per-node audits accumulate across window harvests (see
         // `GhkMultiNode::audit`), so summing after the finalize echo sees
         // every window's counters.
         let mut audit = SchedAudit::default();
-        for n in self.sim.nodes() {
+        for n in p.sim.nodes() {
             audit.absorb(n.audit());
         }
         MultiOutcome {
-            completion_round: self.completion,
-            rounds_budget: self.plan.total_rounds(),
+            completion_round: p.completion,
+            rounds_budget: plan.total_rounds(),
             audit,
-            phases: self.phases,
-            stats: self.sim.stats().clone(),
-            fallback_entry: self.ladder.fallback_entry(),
-            peak_state_bytes: self.sim.graph().resident_bytes() + self.peak_nodes,
+            phases: p.phases,
+            stats: p.sim.stats().clone(),
+            fallback_entry: p.ladder.fallback_entry(),
+            peak_state_bytes: p.peak_state_bytes(),
         }
     }
 }
 
-impl<T: Topology> ConsDriver for MultiDriver<T> {
-    fn cons_quiet(&mut self, probe: ConsProbe) -> Option<bool> {
-        if self.cons_status_left == 0 {
-            return None;
+impl<T: Topology> PipelineDriver for MultiDriver<T> {
+    type Node = GhkMultiNode;
+    type Topo = T;
+    const FALLBACK: GhkMultiPhase = GhkMultiPhase::Fallback { offset: 0 };
+
+    fn pump(&mut self) -> &mut Pump<GhkMultiNode, T> {
+        &mut self.pump
+    }
+
+    fn handoff_budget(&self) -> u64 {
+        self.plan.handoff_budget
+    }
+
+    fn handoff(&mut self, window: u32, budget: u64, count: Count) -> WindowEnd {
+        self.pump.window(
+            budget,
+            MultiProbe::HandoffPending { window },
+            true,
+            |offset| GhkMultiPhase::Handoff { window, offset },
+            count,
+        )
+    }
+
+    /// Rung 1: replay the *failed window's* dissemination (re-seeding each
+    /// ring's schedule from its decoded batches — `ensure_window` rebuilds
+    /// the dropped schedule nodes) and a fresh handoff window, drawn from the
+    /// remaining worst-case pool, while every other window's state stays
+    /// intact.
+    fn repair(&mut self, window: u32) -> bool {
+        let p = &mut self.pump;
+        let _ = p.window(
+            self.plan.window_budget.min(p.budget_left()),
+            MultiProbe::WindowUninformed { window },
+            false,
+            |offset| GhkMultiPhase::Disseminate { window, offset },
+            |p| &mut p.repair,
+        );
+        if p.done() {
+            return true;
         }
-        self.cons_status_left -= 1;
-        Some(self.quiet(MultiProbe::Cons(probe)))
+        let budget = self.plan.handoff_budget.min(p.budget_left());
+        self.handoff(window, budget, |p| &mut p.repair) == WindowEnd::Quiesced
     }
 
-    fn cons_run(&mut self, start: u64, len: u64) {
-        // One segment per 2-slotted sub-window; the shared skip loop only
-        // requests runs within a single construction-schedule segment, which
-        // keeps the `may_act_in` wake hints valid across the batch.
-        let run = self.exec_segment(GhkMultiPhase::Construct { offset: 2 * start }, 2 * len);
-        self.phases.construct += run;
-    }
-
-    fn finished(&self) -> bool {
-        self.done()
+    /// Rung 2: holders in the rings feeding the failed window (plus the ring
+    /// right behind them) flood the window's batches with fountain packets,
+    /// covering churn/mobility that moved the frontier across ring
+    /// boundaries.
+    fn regional(&mut self, window: u32, budget: u64) -> WindowEnd {
+        self.pump.window(
+            budget,
+            MultiProbe::HandoffPending { window },
+            false,
+            |offset| GhkMultiPhase::Regional { window, offset },
+            |p| &mut p.repair,
+        )
     }
 }
 
@@ -2342,7 +1946,7 @@ pub fn broadcast_unknown_on<T: Topology>(
     let payload_bits = messages[0].len();
     let d = bfs_layering(&topology, &[source]).max_level();
     let plan = GhkMultiPlan::new_adaptive(params, d.max(1), messages.len(), opts.batch);
-    let step: MultiStepCell = Rc::new(Cell::new(MultiStep::Idle));
+    let step = Rc::new(Cell::new(Cursor::Idle));
     let sim = Simulator::new_with_faults(topology, opts.mode, seed, faults.clone(), |id| {
         GhkMultiNode::new(
             params,
@@ -2355,22 +1959,11 @@ pub fn broadcast_unknown_on<T: Topology>(
         .with_pacing(opts.pacing)
         .with_fec_repair(opts.fec_repair)
     });
-    let recovery = sim.has_faults();
     MultiDriver {
-        sim,
-        step,
+        pump: Pump::new(sim, step, params, plan.total_rounds(), plan.cons_status),
         plan,
-        beep: u64::from(params.beep_interval.max(1)),
-        quiescence_slack: params.quiescence_slack,
-        cons_status_left: plan.cons_status,
-        label_status_left: plan.label_status,
-        phases: MultiPhaseRounds::default(),
-        completion: None,
-        recovery,
         loss: LossEstimator::new(opts.fec_repair),
         fec_echoed: opts.fec_repair,
-        ladder: Ladder::new(),
-        peak_nodes: 0,
     }
     .run()
 }

@@ -48,7 +48,7 @@ use crate::adaptive::Pacing;
 use crate::decay::{DecayBroadcast, DecayMsg, MmvDecayBroadcast};
 use crate::multi_message::{
     broadcast_known_faulted, broadcast_unknown_on, BatchMode, GhkMultiPlan, KnownRunOpts,
-    MultiPhaseRounds, MultiRunOpts,
+    MultiRunOpts,
 };
 use crate::params::Params;
 use crate::schedule::{EmptyBehavior, SchedAudit, SlowKey};
@@ -380,23 +380,6 @@ impl From<PhaseRounds> for Phases {
             fallback,
             status,
         }
-    }
-}
-
-impl From<MultiPhaseRounds> for Phases {
-    fn from(p: MultiPhaseRounds) -> Self {
-        // Exhaustive destructuring, same rationale as above.
-        let MultiPhaseRounds {
-            wave,
-            construct,
-            label,
-            disseminate,
-            handoff,
-            repair,
-            fallback,
-            status,
-        } = p;
-        Phases { wave, construct, label, disseminate, handoff, repair, fallback, status }
     }
 }
 
@@ -934,7 +917,7 @@ impl Scenario {
                 Outcome {
                     completion_round: out.completion_round,
                     cap: out.rounds_budget,
-                    phases: out.phases.into(),
+                    phases: out.phases,
                     stats: out.stats,
                     audit: out.audit,
                     peak_state_bytes: out.peak_state_bytes,
@@ -969,7 +952,7 @@ impl Scenario {
                 Outcome {
                     completion_round: out.completion_round,
                     cap: out.rounds_budget,
-                    phases: out.phases.into(),
+                    phases: out.phases,
                     stats: out.stats,
                     audit: out.audit,
                     peak_state_bytes: out.peak_state_bytes,
@@ -1093,6 +1076,7 @@ pub struct SweepJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi_message::MultiPhaseRounds;
 
     #[test]
     fn specs_build_expected_sizes() {
@@ -1140,7 +1124,8 @@ mod tests {
             fallback: 7,
             status: 6,
         };
-        let p: Phases = multi.into();
+        // Theorem 1.3 accounts in `Phases` itself.
+        let p: Phases = multi;
         assert_eq!(p.total(), multi.total());
         assert_eq!(p.label, 3);
         assert_eq!(p.repair, 9);

@@ -48,7 +48,7 @@
 //! node state or topology — it plays the part of the `O(D)`-round echo /
 //! termination-detection subprotocol such adaptive algorithms run in-band,
 //! with the echo cost folded into the status-round accounting. Nodes learn
-//! the cursor through a shared [`Step`] cell, modelling the outcome of that
+//! the cursor through a shared [`Cursor`] cell, modelling the outcome of that
 //! same echo; the [`radio_sim::Protocol`] trait stays pure and leaks no
 //! topology.
 //!
@@ -58,19 +58,21 @@
 //! run — `tests/regression_rounds.rs` asserts it.
 
 use crate::adaptive::{
-    answer_cons_probe, cons_status_budget, drive_construction, vote_quiet, Advance, ConsDriver,
-    ConsProbe, Ladder, Pacing, Segment, WindowEnd, HANDOFF_RETRIES,
+    answer_cons_probe, checked_act, cons_status_budget, drive_construction, finish_ladder,
+    handoff_with_retry, narrow, Advance, ConsDriver, ConsProbe, Count, Cursor, CursorCell, Pacing,
+    PipelineDriver, PipelineNode, Pump, Segment, WindowEnd,
 };
 use crate::construction::{ConstructionSchedule, GstConstructionNode, GstMsg};
 use crate::decay::DecaySchedule;
 use crate::layering::{Beep, CollisionWaveLayering};
 use crate::params::Params;
+use crate::run::Phases;
 use crate::schedule::{
     EmptyBehavior, MmvScheduleNode, SchedAudit, SchedLabels, SchedMsg, ScheduleConfig, SlowKey,
 };
 use radio_sim::graph::bfs_layering;
 use radio_sim::model::PacketBits;
-use radio_sim::trace::{RoundStats, RunStats};
+use radio_sim::trace::RunStats;
 use radio_sim::{
     Action, CollisionMode, FaultPlan, Graph, NodeId, Observation, Protocol, Simulator, Topology,
     Wake,
@@ -227,30 +229,6 @@ pub enum Probe {
     Uninformed,
 }
 
-/// The shared per-round directive: what kind of round the pipeline is in.
-///
-/// All nodes observe the same status-round transcript (via the idealized
-/// echo, see the module docs), so they all hold the same cursor; the cell
-/// materializes that shared knowledge without touching the `Protocol` trait.
-///
-/// Work rounds are published as whole [`Segment`]s (start round + schedule
-/// geometry, set once per batch): nodes resolve a round's [`PhasePos`] from
-/// the segment, and their wake hints may sleep them through the rounds of
-/// the segment in which they are provably inert — never past its end, so
-/// every cursor change finds all nodes awake (see `crate::adaptive`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Step {
-    /// Before the first round.
-    Idle,
-    /// A published segment of work rounds of the current phase.
-    Work(Segment<PhasePos>),
-    /// A status round probing for pending work.
-    Status(Probe),
-}
-
-/// Shared handle to the pipeline's current [`Step`].
-pub type StepCell = Rc<Cell<Step>>;
-
 /// The worst-case phase budgets of the pipeline — the adaptive run's hard
 /// caps. [`Ghk1Plan::total_rounds`] is the guaranteed-completion bound of
 /// Theorem 1.1 (with the paper's `Θ(·)` constants instantiated by
@@ -336,7 +314,7 @@ pub struct Ghk1Node {
     id: u32,
     params: Rc<Params>,
     plan: Rc<Ghk1Plan>,
-    step: StepCell,
+    step: CursorCell<PhasePos, Probe>,
     wave: CollisionWaveLayering,
     /// Frontier reached this node since the last wave status round.
     wave_dirty: bool,
@@ -364,7 +342,7 @@ impl Ghk1Node {
     pub fn new(
         params: Rc<Params>,
         plan: Rc<Ghk1Plan>,
-        step: StepCell,
+        step: CursorCell<PhasePos, Probe>,
         id: u32,
         message: Option<u64>,
     ) -> Self {
@@ -564,6 +542,16 @@ impl Ghk1Node {
         }
     }
 
+    /// Adopts the payload of a handoff packet heard in `obs`, unless the
+    /// node already holds the message.
+    fn adopt(&mut self, obs: &Observation<Ghk1Msg>) {
+        if let (None, Observation::Message(p)) = (self.message, obs) {
+            if let Ghk1Msg::Handoff(m) = &**p {
+                self.message = Some(*m);
+            }
+        }
+    }
+
     /// Answers a status-round probe: `true` = transmit a beep.
     fn probe(&mut self, probe: Probe) -> bool {
         match probe {
@@ -592,6 +580,36 @@ impl Ghk1Node {
                 answer_cons_probe(c, probe)
             }
         }
+    }
+}
+
+impl PipelineNode for Ghk1Node {
+    type Pos = PhasePos;
+    type Probe = Probe;
+
+    fn construct(offset: u64) -> PhasePos {
+        PhasePos::Construct { offset }
+    }
+
+    fn cons(probe: ConsProbe) -> Probe {
+        Probe::Cons(probe)
+    }
+
+    fn consuming(probe: Probe) -> bool {
+        matches!(
+            probe,
+            Probe::WaveProgress
+                | Probe::Cons(ConsProbe::NewActivation)
+                | Probe::RepairCons { probe: ConsProbe::NewActivation, .. }
+        )
+    }
+
+    fn complete(&self) -> bool {
+        self.has_message()
+    }
+
+    fn resident_bytes(&self) -> usize {
+        Ghk1Node::resident_bytes(self)
     }
 }
 
@@ -722,45 +740,27 @@ impl Protocol for Ghk1Node {
             return Wake::Now;
         }
         match self.step.get() {
-            Step::Idle | Step::Status(_) => Wake::Now,
-            Step::Work(seg) => self.segment_wake(&seg, round),
+            Cursor::Idle | Cursor::Status(_) => Wake::Now,
+            Cursor::Work(seg) => self.segment_wake(&seg, round),
         }
     }
 
     fn act(&mut self, round: u64, rng: &mut SmallRng) -> Action<Ghk1Msg> {
-        // Contract check for the wake hints: a node whose hint postponed past
-        // this round must not transmit if polled anyway (dense A/B paths).
-        let hinted_idle = cfg!(debug_assertions)
-            && match self.next_wake(round) {
-                Wake::Now => false,
-                Wake::At(r) => r > round,
-                Wake::Idle => true,
-            };
-        let action = self.act_inner(round, rng);
-        debug_assert!(
-            !(hinted_idle && action.is_transmit()),
-            "hinted-idle node {} transmitted at round {round}",
-            self.id
-        );
-        action
+        let id = self.id;
+        checked_act(self, id, round, |n| n.act_inner(round, rng))
     }
 
     fn observe(&mut self, round: u64, obs: Observation<Ghk1Msg>, rng: &mut SmallRng) {
         let pos = match self.step.get() {
-            Step::Idle | Step::Status(_) => return,
-            Step::Work(seg) => seg.pos_at(round).expect("observation within published segment"),
+            Cursor::Idle | Cursor::Status(_) => return,
+            Cursor::Work(seg) => seg.pos_at(round).expect("observation within published segment"),
         };
         match pos {
             PhasePos::Wave { offset } => {
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        Ghk1Msg::Wave(b) => Observation::packet(*b),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                let mapped = narrow(&obs, |msg| match msg {
+                    Ghk1Msg::Wave(b) => Some(*b),
+                    _ => None,
+                });
                 let was_layered = self.wave.level().is_some();
                 self.wave.observe(offset, mapped, rng);
                 if !was_layered && self.wave.level().is_some() {
@@ -772,15 +772,10 @@ impl Protocol for Ghk1Node {
                 if offset % 2 != u64::from(ring % 2) {
                     return;
                 }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        Ghk1Msg::Gst(m) => Observation::packet(*m),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                let mapped = narrow(&obs, |msg| match msg {
+                    Ghk1Msg::Gst(m) => Some(*m),
+                    _ => None,
+                });
                 if let Some(c) = self.cons.as_mut() {
                     c.observe(offset / 2, mapped, rng);
                 }
@@ -790,42 +785,27 @@ impl Protocol for Ghk1Node {
                 if my_ring != ring {
                     return;
                 }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        Ghk1Msg::Sched(m) => Observation::packet(m.clone()),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                let mapped = narrow(&obs, |msg| match msg {
+                    Ghk1Msg::Sched(m) => Some(m.clone()),
+                    _ => None,
+                });
                 if let Some(s) = self.sched.as_mut() {
                     s.observe(offset, mapped, rng);
                 }
             }
             PhasePos::Handoff { ring, .. } => {
-                let Some((my_ring, ring_level)) = self.ring else { return };
-                if my_ring == ring + 1 && ring_level == 0 && self.message.is_none() {
-                    if let Observation::Message(p) = &obs {
-                        if let Ghk1Msg::Handoff(m) = &**p {
-                            self.message = Some(*m);
-                        }
-                    }
+                if self.ring == Some((ring + 1, 0)) {
+                    self.adopt(&obs);
                 }
             }
             PhasePos::RepairConstruct { ring, offset } => {
                 if self.ring.is_none_or(|(r, _)| r != ring) {
                     return;
                 }
-                let mapped = match &obs {
-                    Observation::Message(p) => match &**p {
-                        Ghk1Msg::Gst(m) => Observation::packet(*m),
-                        _ => Observation::Silence,
-                    },
-                    Observation::Collision => Observation::Collision,
-                    Observation::SelfTransmit => Observation::SelfTransmit,
-                    _ => Observation::Silence,
-                };
+                let mapped = narrow(&obs, |msg| match msg {
+                    Ghk1Msg::Gst(m) => Some(*m),
+                    _ => None,
+                });
                 if let Some(c) = self.cons.as_mut() {
                     c.observe(offset, mapped, rng);
                 }
@@ -838,24 +818,14 @@ impl Protocol for Ghk1Node {
                     Some((r, _)) => r + 1 >= ring && r <= ring.saturating_add(1),
                     None => true,
                 };
-                if in_region && self.message.is_none() {
-                    if let Observation::Message(p) = &obs {
-                        if let Ghk1Msg::Handoff(m) = &**p {
-                            self.message = Some(*m);
-                        }
-                    }
+                if in_region {
+                    self.adopt(&obs);
                 }
             }
             PhasePos::Fallback { .. } => {
                 // Ring-agnostic adoption: the whole point of the fallback is
                 // reaching nodes the faulted setup phases left without a ring.
-                if self.message.is_none() {
-                    if let Observation::Message(p) = &obs {
-                        if let Ghk1Msg::Handoff(m) = &**p {
-                            self.message = Some(*m);
-                        }
-                    }
-                }
+                self.adopt(&obs);
             }
         }
     }
@@ -864,15 +834,15 @@ impl Protocol for Ghk1Node {
 impl Ghk1Node {
     fn act_inner(&mut self, round: u64, rng: &mut SmallRng) -> Action<Ghk1Msg> {
         let pos = match self.step.get() {
-            Step::Idle => return Action::Listen,
-            Step::Status(probe) => {
+            Cursor::Idle => return Action::Listen,
+            Cursor::Status(probe) => {
                 return if self.probe(probe) {
                     Action::Transmit(Ghk1Msg::Status)
                 } else {
                     Action::Listen
                 };
             }
-            Step::Work(seg) => seg.pos_at(round).expect("act within published segment"),
+            Cursor::Work(seg) => seg.pos_at(round).expect("act within published segment"),
         };
         match pos {
             PhasePos::Wave { offset } => match self.wave.act(offset, rng) {
@@ -1024,463 +994,211 @@ pub struct Ghk1Outcome {
     pub peak_state_bytes: usize,
 }
 
-/// The adaptive pipeline driver: owns the simulator and the shared phase
-/// cursor, advances phases on status-round quiescence, and hard-caps every
-/// phase at its [`Ghk1Plan`] budget.
+/// The adaptive Theorem 1.1 driver: the shared [`Pump`] plus the plan, which
+/// sizes every phase window. Status rounds advance the cursor on quiescence
+/// and every phase is hard-capped at its [`Ghk1Plan`] budget.
 struct Driver<T: Topology> {
-    sim: Simulator<Ghk1Node, T>,
-    step: StepCell,
+    pump: Pump<Ghk1Node, T>,
     plan: Rc<Ghk1Plan>,
-    beep: u64,
-    quiescence_slack: u32,
-    cons_status_left: u64,
-    /// Status budget for rung-1 repair construction; refreshed per repair.
-    repair_status_left: u64,
-    phases: PhaseRounds,
-    completion: Option<u64>,
-    /// Whether the recovery paths (status voting, handoff retry, the staged
-    /// ladder) are armed — true exactly when the simulator carries a fault
-    /// plan, so `FaultPlan::none()` runs stay bit-identical by construction.
-    recovery: bool,
-    /// Rung bookkeeping for the staged recovery ladder.
-    ladder: Ladder,
-    /// Peak of the phase-boundary node-state samples (see `sample_state`).
-    peak_nodes: usize,
 }
 
 impl<T: Topology> Driver<T> {
-    /// Moves the shared cursor: every cell change force-wakes all nodes
-    /// (their hints were computed against the outgoing cell).
-    fn publish(&mut self, step: Step) {
-        self.sim.wake_all();
-        self.step.set(step);
-    }
-
-    /// Samples the resident protocol state (an `O(n)` sweep, run only at
-    /// phase boundaries) and folds it into the peak. The phase structure
-    /// makes boundary sampling exact enough: sub-states are created and
-    /// retired only at the boundaries the driver itself publishes.
-    fn sample_state(&mut self) {
-        let nodes: usize = self.sim.nodes().iter().map(Ghk1Node::resident_bytes).sum();
-        self.peak_nodes = self.peak_nodes.max(nodes);
-    }
-
-    fn exec(&mut self, step: Step) -> RoundStats {
-        self.publish(step);
-        let stats = self.sim.step();
-        // `has_message` flips only when a packet arrives (a handoff payload
-        // or the decoding delivery of the schedule), so the O(n) all-nodes
-        // completion scan is needed only after delivery rounds.
-        if self.completion.is_none()
-            && stats.deliveries > 0
-            && self.sim.nodes().iter().all(Ghk1Node::has_message)
-        {
-            self.completion = Some(self.sim.round());
-        }
-        stats
-    }
-
-    /// Publishes `len` consecutive work rounds starting at phase position
-    /// `pos` as one [`Segment`] and runs them through the engine's wake fast
-    /// path. Stops after any round that delivered a packet to re-evaluate
-    /// completion (exactly the per-step driver's delivery-gated scan), then
-    /// resumes the remainder; aborts once complete. Returns the number of
-    /// rounds actually executed.
-    fn exec_segment(&mut self, pos: PhasePos, len: u64) -> u64 {
-        let start = self.sim.round();
-        self.publish(Step::Work(Segment { start, len, pos }));
-        let mut run = 0u64;
-        while run < len && !self.done() {
-            let seg = self.sim.run_segment(len - run, true);
-            run += seg.rounds;
-            if seg.stopped_on_delivery
-                && self.completion.is_none()
-                && self.sim.nodes().iter().all(Ghk1Node::has_message)
-            {
-                self.completion = Some(self.sim.round());
-            }
-        }
-        run
-    }
-
-    fn done(&self) -> bool {
-        self.completion.is_some()
-    }
-
-    /// Runs one status round; `true` iff the probe quiesced.
-    ///
-    /// On a fault-free run the verdict is the single-round channel census
-    /// ("did anybody transmit?") — bit-identical to the pre-voting driver.
-    /// With faults armed, a fault-touched read is demoted to the channel's
-    /// listener-side rendering and majority-voted over a small window of
-    /// re-probes (see [`vote_quiet`]); consuming probes (the take-style
-    /// wave-progress and new-activation reads) are never re-probed.
-    fn quiet(&mut self, probe: Probe) -> bool {
-        self.phases.status += 1;
-        let first = self.exec(Step::Status(probe));
-        if !self.recovery {
-            return first.transmitters == 0;
-        }
-        let votable = !matches!(
-            probe,
-            Probe::WaveProgress
-                | Probe::Cons(ConsProbe::NewActivation)
-                | Probe::RepairCons { probe: ConsProbe::NewActivation, .. }
-        );
-        let v = vote_quiet(first, votable, || {
-            self.phases.status += 1;
-            // Extra vote rounds stay charged against the construction status
-            // budget, so the skip loop's round accounting cannot outgrow its
-            // cap just because votes fired.
-            match probe {
-                Probe::Cons(_) => {
-                    self.cons_status_left = self.cons_status_left.saturating_sub(1);
-                }
-                Probe::RepairCons { .. } => {
-                    self.repair_status_left = self.repair_status_left.saturating_sub(1);
-                }
-                _ => {}
-            }
-            self.exec(Step::Status(probe))
-        });
-        if v.overturned {
-            self.sim.stats_mut().votes_overturned += 1;
-        }
-        v.quiet
-    }
-
-    /// Rounds left under the plan's worst-case cap — the pool the recovery
-    /// paths (handoff retries, the fallback flood) may draw from without
-    /// breaking the `completion <= total_rounds` guarantee.
-    fn budget_left(&self) -> u64 {
-        self.plan.total_rounds().saturating_sub(self.sim.round())
-    }
-
-    /// One adaptive open-ended window: a `beep_interval`-round work segment,
-    /// one status round, until the probe has stayed quiet for
-    /// `quiescence_slack` consecutive status rounds or `budget` (work +
-    /// status rounds, including any vote re-probes) is exhausted. The wave,
-    /// broadcast, handoff and fallback phases all share this loop.
-    fn window(
-        &mut self,
-        budget: u64,
-        probe: Probe,
-        pos_at: impl Fn(u64) -> PhasePos,
-        count: fn(&mut PhaseRounds) -> &mut u64,
-    ) -> WindowEnd {
-        let slack = self.quiescence_slack.max(1);
-        let start = self.sim.round();
-        let mut offset = 0u64;
-        let mut quiet_streak = 0u32;
-        let spent = |sim: &Simulator<Ghk1Node, T>| sim.round() - start;
-        while spent(&self.sim) < budget && !self.done() {
-            let run = self.exec_segment(pos_at(offset), self.beep.min(budget - spent(&self.sim)));
-            *count(&mut self.phases) += run;
-            offset += run;
-            if spent(&self.sim) >= budget || self.done() {
-                break;
-            }
-            if self.quiet(probe) {
-                quiet_streak += 1;
-                if quiet_streak >= slack {
-                    return WindowEnd::Quiesced;
-                }
-            } else {
-                quiet_streak = 0;
-            }
-        }
-        if self.done() {
-            WindowEnd::Quiesced
-        } else {
-            WindowEnd::Exhausted
-        }
-    }
-
-    /// Hooks for the shared construction driver (`crate::adaptive`).
-    fn cons_quiet_impl(&mut self, probe: ConsProbe) -> Option<bool> {
-        if self.cons_status_left == 0 {
-            return None;
-        }
-        self.cons_status_left -= 1;
-        Some(self.quiet(Probe::Cons(probe)))
-    }
-
-    /// Rung 1 of the recovery [`Ladder`]: re-run the *failed ring's*
-    /// construction and dissemination with fresh budget, keeping every other
-    /// ring's GST intact. The failed ring's nodes drop their schedule state
-    /// (harvesting any pending delivery first), rebuild it through the shared
-    /// quiescence-skipping construction loop restricted to that ring, then
-    /// replay the ring's broadcast window and a fresh handoff window — all
-    /// drawn from what remains of the worst-case pool. Returns `true` iff the
-    /// run completed or the replayed handoff quiesced.
-    fn ring_repair(&mut self, ring: u32) -> bool {
-        if self.budget_left() == 0 {
-            return false;
-        }
-        self.ladder.ring();
-        self.sim.stats_mut().ring_repairs += 1;
-        self.repair_status_left = self.plan.cons_status;
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).repair_ring(ring);
-        }
-        let cons = self.plan.cons;
-        drive_construction(&mut RingRepair { drv: self, ring }, cons);
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).finalize_ring(ring);
-        }
-        if self.done() {
-            return true;
-        }
-        let bcast = self.plan.bcast_window.min(self.budget_left());
-        let _ = self.window(
-            bcast,
-            Probe::RingUninformed { ring },
-            |offset| PhasePos::Broadcast { ring, offset },
-            |p| &mut p.repair,
-        );
-        if self.done() {
-            return true;
-        }
-        if ring + 1 >= self.plan.ring_count {
-            return false;
-        }
-        let budget = self.plan.handoff_window.min(self.budget_left());
-        self.window(
-            budget,
-            Probe::RootsUninformed { ring: ring + 1 },
-            |offset| PhasePos::Handoff { ring, offset },
-            |p| &mut p.repair,
-        ) == WindowEnd::Quiesced
-    }
-
-    /// Rung 2 of the recovery [`Ladder`]: regional re-dissemination — every
-    /// holder in the failed ring ± 1 floods the payload on the Decay
-    /// schedule, covering churn/mobility that moved the frontier across ring
-    /// boundaries. Budgeted at two handoff windows from the remaining pool.
-    fn regional_repair(&mut self, ring: u32) -> bool {
-        if self.budget_left() == 0 {
-            return false;
-        }
-        self.ladder.regional();
-        self.sim.stats_mut().regional_repairs += 1;
-        let budget = (2 * self.plan.handoff_window).min(self.budget_left());
-        let probe = if ring + 1 < self.plan.ring_count {
-            Probe::RootsUninformed { ring: ring + 1 }
-        } else {
-            Probe::RingUninformed { ring }
-        };
-        self.window(budget, probe, |offset| PhasePos::Regional { ring, offset }, |p| &mut p.repair)
-            == WindowEnd::Quiesced
-    }
-
-    /// Climbs rungs 1–2 for the failed ring; `true` iff a rung recovered the
-    /// handoff (or the run completed outright).
-    fn climb_ladder(&mut self, ring: u32) -> bool {
-        if self.ring_repair(ring) || self.done() {
-            return true;
-        }
-        self.regional_repair(ring) || self.done()
-    }
-
     fn run(mut self) -> Ghk1Outcome {
-        if self.sim.nodes().iter().all(Ghk1Node::has_message) {
-            self.completion = Some(0);
-        }
-        if !self.done() {
+        let plan = *self.plan;
+        let p = &mut self.pump;
+        if !p.done() {
             // Phase 1: the collision wave, closed `quiescence_slack` silent
             // status rounds after the frontier stops advancing.
-            let _ = self.window(
-                self.plan.wave_budget,
+            let _ = p.window(
+                plan.wave_budget,
                 Probe::WaveProgress,
+                false,
                 |offset| PhasePos::Wave { offset },
                 |p| &mut p.wave,
             );
         }
-        if !self.done() {
+        if !p.done() {
             // Phase 2: the shared quiescence-skipping construction driver.
-            let cons = self.plan.cons;
-            drive_construction(&mut self, cons);
+            drive_construction(p, plan.cons);
         }
         // All rings constructed in parallel, so this is the run's resident
         // peak: every layered node holds live construction state.
-        self.sample_state();
+        p.sample_state();
         // End-of-construction echo: every node runs its local block epilogue
         // (pending recruiting results + unassigned-blue fallback), then
         // retires its construction state (labels move inline). The fixed
         // schedule reaches this state lazily through later blocks' rounds;
         // the adaptive driver may have skipped those blocks entirely.
-        for i in 0..self.sim.nodes().len() {
-            self.sim.node_mut(NodeId::new(i)).finalize_construction();
-        }
-        'rings: for ring in 0..self.plan.ring_count {
-            if self.done() {
+        p.echo(Ghk1Node::finalize_construction);
+        for ring in 0..plan.ring_count {
+            if self.pump.done() {
                 break;
             }
-            let _ = self.window(
-                self.plan.bcast_window,
+            let _ = self.pump.window(
+                plan.bcast_window,
                 Probe::RingUninformed { ring },
+                false,
                 |offset| PhasePos::Broadcast { ring, offset },
-                |p| &mut p.broadcast,
+                |p| &mut p.disseminate,
             );
             // The ring's schedule state is live now; sample before anything
             // retires it.
-            self.sample_state();
-            if ring + 1 < self.plan.ring_count && !self.done() {
-                // Handoff with retry-and-backoff: a window that exhausts its
-                // budget while the receiving roots still beep is a *failed*
-                // handoff — re-publish it with a doubled budget (drawn from
-                // the worst-case pool) instead of advancing the cursor into
-                // a dead phase. Retries exhausting climbs the recovery
-                // ladder for *this* ring (rung-1 ring-local repair, then
-                // rung-2 regional re-dissemination); only both rungs failing
-                // abandons the ring loop toward the rung-3 fallback,
-                // preserving the remaining budget.
-                let mut budget = self.plan.handoff_window;
-                let mut attempt = 0u32;
-                // Once the ladder has fired, the channel has already proven
-                // persistently degraded — later failed handoffs skip the
-                // doubling retry schedule and climb immediately, instead of
-                // burning the full backoff pool per ring.
-                let max_retries = if self.ladder.ring_attempted() { 0 } else { HANDOFF_RETRIES };
-                loop {
-                    let end = self.window(
-                        budget,
-                        Probe::RootsUninformed { ring: ring + 1 },
-                        |offset| PhasePos::Handoff { ring, offset },
-                        |p| &mut p.handoff,
-                    );
-                    if end == WindowEnd::Quiesced || !self.recovery {
-                        break;
-                    }
-                    if attempt >= max_retries {
-                        if self.climb_ladder(ring) {
-                            break;
-                        }
-                        break 'rings;
-                    }
-                    attempt += 1;
-                    budget = (budget * 2).min(self.budget_left());
-                    if budget == 0 {
-                        if self.climb_ladder(ring) {
-                            break;
-                        }
-                        break 'rings;
-                    }
-                    self.sim.stats_mut().retries += 1;
-                }
+            self.pump.sample_state();
+            if ring + 1 < plan.ring_count
+                && !self.pump.done()
+                && !handoff_with_retry(&mut self, ring)
+            {
+                break;
             }
             // Ring `ring` is done transmitting its schedule (its broadcast
             // window closed and its outgoing handoff — if any — resolved):
             // retire its schedule state so resident memory tracks the active
             // frontier. Repair rungs rebuild from scratch if ever needed.
-            for i in 0..self.sim.nodes().len() {
-                self.sim.node_mut(NodeId::new(i)).retire_ring(ring);
-            }
+            self.pump.echo(|n| n.retire_ring(ring));
         }
+        finish_ladder(&mut self, plan.ring_count - 1);
 
-        // Staged-ladder epilogue: a faulted run that ends uninformed climbs
-        // any rung it has not yet attempted — anchored at the frontier ring —
-        // before the last resort. Rung 3, the no-knowledge Decay fallback
-        // (the Czumaj–Davies regime), is reached only after rungs 1–2 both
-        // fired and failed: every holder floods the payload on the Decay
-        // schedule and every node adopts it without any ring bookkeeping,
-        // bounded by what remains of the worst-case cap. True to the
-        // no-knowledge regime, there are no status beeps in rung 3: a vote
-        // the faults corrupt must not silence the last-resort phase, so only
-        // the delivery-gated completion scan (or the cap) ends it.
-        if self.recovery && !self.done() {
-            let frontier = self.plan.ring_count - 1;
-            if !self.ladder.ring_attempted() {
-                let _ = self.ring_repair(frontier);
-            }
-            if !self.done() && !self.ladder.regional_attempted() {
-                let _ = self.regional_repair(frontier);
-            }
-            if !self.done() && self.ladder.may_fall_back() {
-                let left = self.budget_left();
-                if left > 0 {
-                    self.ladder.arm_fallback(self.sim.round());
-                    let run = self.exec_segment(PhasePos::Fallback { offset: 0 }, left);
-                    self.phases.fallback += run;
-                    self.sim.stats_mut().fallback_rounds += run;
-                }
-            }
-        }
-
-        self.sample_state();
+        let p = &mut self.pump;
+        p.sample_state();
         let mut audit = SchedAudit::default();
         let mut fallbacks = 0;
-        for n in self.sim.nodes() {
+        for n in p.sim.nodes() {
             audit.absorb(n.audit());
             if n.construction_stats().is_some_and(|s| s.fallback_used) {
                 fallbacks += 1;
             }
         }
+        let Phases { wave, construct, label: _, disseminate, handoff, repair, fallback, status } =
+            p.phases;
         Ghk1Outcome {
-            completion_round: self.completion,
-            plan: *self.plan,
-            phases: self.phases,
-            stats: self.sim.stats().clone(),
+            completion_round: p.completion,
+            plan,
+            phases: PhaseRounds {
+                wave,
+                construct,
+                broadcast: disseminate,
+                handoff,
+                repair,
+                fallback,
+                status,
+            },
+            stats: p.sim.stats().clone(),
             audit,
             fallbacks,
-            fallback_entry: self.ladder.fallback_entry(),
-            peak_state_bytes: self.sim.graph().resident_bytes() + self.peak_nodes,
+            fallback_entry: p.ladder.fallback_entry(),
+            peak_state_bytes: p.peak_state_bytes(),
         }
     }
 }
 
-impl<T: Topology> ConsDriver for Driver<T> {
-    fn cons_quiet(&mut self, probe: ConsProbe) -> Option<bool> {
-        self.cons_quiet_impl(probe)
+impl<T: Topology> PipelineDriver for Driver<T> {
+    type Node = Ghk1Node;
+    type Topo = T;
+    const FALLBACK: PhasePos = PhasePos::Fallback { offset: 0 };
+
+    fn pump(&mut self) -> &mut Pump<Ghk1Node, T> {
+        &mut self.pump
     }
 
-    fn cons_run(&mut self, start: u64, len: u64) {
-        // One segment covering the whole 2-slotted sub-window; the shared
-        // skip loop only ever requests runs within a single construction
-        // schedule segment, which is what keeps `may_act_in` hints valid
-        // across the batch.
-        let run = self.exec_segment(PhasePos::Construct { offset: 2 * start }, 2 * len);
-        self.phases.construct += run;
+    fn handoff_budget(&self) -> u64 {
+        self.plan.handoff_window
     }
 
-    fn finished(&self) -> bool {
-        self.done()
+    fn handoff(&mut self, ring: u32, budget: u64, count: Count) -> WindowEnd {
+        self.pump.window(
+            budget,
+            Probe::RootsUninformed { ring: ring + 1 },
+            false,
+            |offset| PhasePos::Handoff { ring, offset },
+            count,
+        )
+    }
+
+    /// Rung 1: re-run the *failed ring's* construction and dissemination
+    /// with fresh budget, keeping every other ring's GST intact. The failed
+    /// ring's nodes drop their schedule state (harvesting any pending
+    /// delivery first), rebuild it through the shared quiescence-skipping
+    /// construction loop restricted to that ring, then replay the ring's
+    /// broadcast window and a fresh handoff window — all drawn from what
+    /// remains of the worst-case pool.
+    fn repair(&mut self, ring: u32) -> bool {
+        let plan = *self.plan;
+        let p = &mut self.pump;
+        p.status_left = plan.cons_status;
+        p.echo(|n| n.repair_ring(ring));
+        drive_construction(&mut RingRepair { pump: &mut *p, ring }, plan.cons);
+        p.echo(|n| n.finalize_ring(ring));
+        if p.done() {
+            return true;
+        }
+        let _ = p.window(
+            plan.bcast_window.min(p.budget_left()),
+            Probe::RingUninformed { ring },
+            false,
+            |offset| PhasePos::Broadcast { ring, offset },
+            |p| &mut p.repair,
+        );
+        if p.done() {
+            return true;
+        }
+        if ring + 1 >= plan.ring_count {
+            return false;
+        }
+        let budget = plan.handoff_window.min(self.pump.budget_left());
+        self.handoff(ring, budget, |p| &mut p.repair) == WindowEnd::Quiesced
+    }
+
+    /// Rung 2: every holder in the failed ring ± 1 floods the payload on the
+    /// Decay schedule, covering churn/mobility that moved the frontier across
+    /// ring boundaries.
+    fn regional(&mut self, ring: u32, budget: u64) -> WindowEnd {
+        let probe = if ring + 1 < self.plan.ring_count {
+            Probe::RootsUninformed { ring: ring + 1 }
+        } else {
+            Probe::RingUninformed { ring }
+        };
+        self.pump.window(
+            budget,
+            probe,
+            false,
+            |offset| PhasePos::Regional { ring, offset },
+            |p| &mut p.repair,
+        )
     }
 }
 
-/// Rung-1 view of the driver: the shared construction skip loop restricted
-/// to one failed ring. Status rounds draw from the repair status budget and
+/// Rung-1 view of the pump: the shared construction skip loop restricted to
+/// one failed ring. Status rounds draw from the refilled status budget and
 /// work segments are clamped to the remaining worst-case pool, so a repair
 /// can never outgrow the plan's cap.
 struct RingRepair<'a, T: Topology> {
-    drv: &'a mut Driver<T>,
+    pump: &'a mut Pump<Ghk1Node, T>,
     ring: u32,
 }
 
 impl<T: Topology> ConsDriver for RingRepair<'_, T> {
     fn cons_quiet(&mut self, probe: ConsProbe) -> Option<bool> {
-        if self.drv.repair_status_left == 0 || self.drv.budget_left() == 0 {
+        if self.pump.budget_left() == 0 {
             return None;
         }
-        self.drv.repair_status_left -= 1;
-        Some(self.drv.quiet(Probe::RepairCons { ring: self.ring, probe }))
+        self.pump.status_quiet(Probe::RepairCons { ring: self.ring, probe })
     }
 
     fn cons_run(&mut self, start: u64, len: u64) {
         // Unslotted: the repair schedule replays construction offsets 1:1
         // (no parity interleave — only one ring is rebuilding).
-        let len = len.min(self.drv.budget_left());
+        let len = len.min(self.pump.budget_left());
         if len == 0 {
             return;
         }
         let run = self
-            .drv
+            .pump
             .exec_segment(PhasePos::RepairConstruct { ring: self.ring, offset: start }, len);
-        self.drv.phases.repair += run;
+        self.pump.phases.repair += run;
     }
 
     fn finished(&self) -> bool {
-        self.drv.done()
+        self.pump.done()
     }
 }
 
@@ -1591,7 +1309,7 @@ pub fn broadcast_single_on<T: Topology>(
     let d = bfs_layering(&topology, &[source]).max_level();
     let plan = Rc::new(Ghk1Plan::new(params, d.max(1)));
     let params = Rc::new(params.clone());
-    let step: StepCell = Rc::new(Cell::new(Step::Idle));
+    let step = Rc::new(Cell::new(Cursor::Idle));
     let sim = Simulator::new_with_faults(topology, mode, seed, faults.clone(), |id| {
         Ghk1Node::new(
             Rc::clone(&params),
@@ -1602,22 +1320,8 @@ pub fn broadcast_single_on<T: Topology>(
         )
         .with_pacing(pacing)
     });
-    let recovery = sim.has_faults();
-    Driver {
-        sim,
-        step,
-        beep: u64::from(params.beep_interval.max(1)),
-        quiescence_slack: params.quiescence_slack,
-        cons_status_left: plan.cons_status,
-        repair_status_left: 0,
-        plan,
-        phases: PhaseRounds::default(),
-        completion: None,
-        recovery,
-        ladder: Ladder::new(),
-        peak_nodes: 0,
-    }
-    .run()
+    let pump = Pump::new(sim, step, &params, plan.total_rounds(), plan.cons_status);
+    Driver { pump, plan }.run()
 }
 
 /// Runs Theorem 1.1 end to end on `graph` from `source` (with collision
