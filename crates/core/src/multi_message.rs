@@ -1652,7 +1652,45 @@ impl<T: Topology> MultiDriver<T> {
         }
     }
 
-    fn run(mut self) -> MultiOutcome {
+    /// Wires the nodes and the driver for one run from `source`.
+    fn new(
+        topology: T,
+        source: NodeId,
+        messages: &[BitVec],
+        params: &Params,
+        seed: u64,
+        opts: MultiRunOpts,
+        faults: &FaultPlan,
+    ) -> Self {
+        assert!(!messages.is_empty(), "need at least one message");
+        assert!(topology.node_count() > 0, "graph must be non-empty");
+        let payload_bits = messages[0].len();
+        let d = bfs_layering(&topology, &[source]).max_level();
+        let plan = GhkMultiPlan::new_adaptive(params, d.max(1), messages.len(), opts.batch);
+        let step = Rc::new(Cell::new(Cursor::Idle));
+        let sim = Simulator::new_with_faults(topology, opts.mode, seed, faults.clone(), |id| {
+            GhkMultiNode::new(
+                params,
+                plan,
+                id.raw(),
+                payload_bits,
+                (id == source).then(|| messages.to_vec()),
+            )
+            .with_cursor(Rc::clone(&step))
+            .with_pacing(opts.pacing)
+            .with_fec_repair(opts.fec_repair)
+        });
+        MultiDriver {
+            pump: Pump::new(sim, step, params, plan.total_rounds(), plan.cons_status),
+            plan,
+            loss: LossEstimator::new(opts.fec_repair),
+            fec_echoed: opts.fec_repair,
+        }
+    }
+
+    /// Drives the whole pipeline, ending with the harvest echo that leaves
+    /// every node's decoded batches in their slots.
+    fn run(&mut self) {
         let plan = self.plan;
         let p = &mut self.pump;
         if !p.done() {
@@ -1707,19 +1745,23 @@ impl<T: Topology> MultiDriver<T> {
             if self.pump.recovery {
                 self.echo_fec_repair();
             }
-            if !handoff_with_retry(&mut self, w) {
+            if !handoff_with_retry(self, w) {
                 break;
             }
             // Window boundary: the live schedules are at their largest.
             self.pump.sample_state();
         }
-        finish_ladder(&mut self, plan.window_count().saturating_sub(1));
+        finish_ladder(self, plan.window_count().saturating_sub(1));
         // End-of-run echo: harvest every pending decoder into its slot.
         let p = &mut self.pump;
         p.sample_state();
         p.echo(GhkMultiNode::finalize_run);
         p.scan();
+    }
 
+    /// The outcome of a finished [`MultiDriver::run`].
+    fn outcome(self) -> MultiOutcome {
+        let (plan, p) = (self.plan, self.pump);
         // Per-node audits accumulate across window harvests (see
         // `GhkMultiNode::audit`), so summing after the finalize echo sees
         // every window's counters.
@@ -1941,31 +1983,9 @@ pub fn broadcast_unknown_on<T: Topology>(
     opts: MultiRunOpts,
     faults: &FaultPlan,
 ) -> MultiOutcome {
-    assert!(!messages.is_empty(), "need at least one message");
-    assert!(topology.node_count() > 0, "graph must be non-empty");
-    let payload_bits = messages[0].len();
-    let d = bfs_layering(&topology, &[source]).max_level();
-    let plan = GhkMultiPlan::new_adaptive(params, d.max(1), messages.len(), opts.batch);
-    let step = Rc::new(Cell::new(Cursor::Idle));
-    let sim = Simulator::new_with_faults(topology, opts.mode, seed, faults.clone(), |id| {
-        GhkMultiNode::new(
-            params,
-            plan,
-            id.raw(),
-            payload_bits,
-            (id == source).then(|| messages.to_vec()),
-        )
-        .with_cursor(Rc::clone(&step))
-        .with_pacing(opts.pacing)
-        .with_fec_repair(opts.fec_repair)
-    });
-    MultiDriver {
-        pump: Pump::new(sim, step, params, plan.total_rounds(), plan.cons_status),
-        plan,
-        loss: LossEstimator::new(opts.fec_repair),
-        fec_echoed: opts.fec_repair,
-    }
-    .run()
+    let mut driver = MultiDriver::new(topology, source, messages, params, seed, opts, faults);
+    driver.run();
+    driver.outcome()
 }
 
 #[cfg(test)]
@@ -2092,6 +2112,55 @@ mod tests {
             SchedAudit::default(),
             "audit counters lost (window harvests must accumulate them)"
         );
+    }
+
+    #[test]
+    fn adaptive_nodes_decode_exact_payloads() {
+        // `is_complete` is a rank check: read every node's decoded bytes
+        // after the driver's final harvest echo, clean and lossy, for both
+        // batch modes.
+        let graphs = [
+            ("cluster_chain(4,5)", generators::cluster_chain(4, 5)),
+            ("grid(6,6)", generators::grid(6, 6)),
+            ("path(40)", generators::path(40)),
+        ];
+        let lossy = FaultPlan::none().with_erasure(0.1);
+        for (name, g) in &graphs {
+            let params = Params::scaled(g.node_count());
+            for k in [1, 4, 9] {
+                let messages = msgs(k);
+                for batch in [BatchMode::FullK, BatchMode::Generations(2)] {
+                    for (faults, fec_repair) in [(FaultPlan::none(), 0), (lossy.clone(), 2)] {
+                        let opts = MultiRunOpts::new(batch).with_fec_repair(fec_repair);
+                        for seed in 0..3 {
+                            let cell =
+                                format!("{name} k={k} {batch:?} {} seed {seed}", faults.label());
+                            let mut driver = MultiDriver::new(
+                                g.clone(),
+                                NodeId::new(0),
+                                &messages,
+                                &params,
+                                seed,
+                                opts,
+                                &faults,
+                            );
+                            driver.run();
+                            for (i, n) in driver.pump.sim.nodes().iter().enumerate() {
+                                assert_eq!(
+                                    n.messages().as_deref(),
+                                    Some(&messages[..]),
+                                    "{cell}: node {i} decoded wrong payloads"
+                                );
+                            }
+                            assert!(
+                                driver.outcome().completion_round.is_some(),
+                                "{cell}: timed out"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
