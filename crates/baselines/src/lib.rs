@@ -268,6 +268,7 @@ pub mod repeat {
         seed: u64,
     ) -> Option<u64> {
         use broadcast::multi_message::{broadcast_known, KnownRunOpts};
+        use radio_sim::FaultPlan;
         use rlnc::gf2::BitVec;
         let one = broadcast_known(
             graph,
@@ -276,6 +277,7 @@ pub mod repeat {
             params,
             seed,
             KnownRunOpts::new().with_max_rounds(2_000_000),
+            &FaultPlan::none(),
         );
         one.completion_round.map(|r| r * k as u64)
     }
@@ -356,6 +358,7 @@ mod tests {
             &params,
             2,
             broadcast::multi_message::KnownRunOpts::new(),
+            &radio_sim::FaultPlan::none(),
         );
         assert!(coded.completion_round.is_some());
         // Coding should not be slower (it is usually strictly faster).

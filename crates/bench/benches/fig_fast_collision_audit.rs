@@ -8,7 +8,7 @@ use bench::*;
 use broadcast::multi_message::{broadcast_known, KnownRunOpts};
 use broadcast::Params;
 use radio_sim::graph::generators;
-use radio_sim::NodeId;
+use radio_sim::{FaultPlan, NodeId};
 
 fn main() {
     header(
@@ -35,6 +35,7 @@ fn main() {
                 &params,
                 seed,
                 KnownRunOpts::new().with_max_rounds(MAX_ROUNDS),
+                &FaultPlan::none(),
             );
             in_stretch += out.audit.fast_collisions_in_stretch;
             bystander += out.audit.fast_collisions_bystander;

@@ -8,8 +8,7 @@
 //! guarantee the run never exceeds.
 
 use bench::*;
-use broadcast::single_message::broadcast_single;
-use radio_sim::NodeId;
+use broadcast::{Scenario, TopologySpec, Workload};
 
 fn main() {
     header(
@@ -24,10 +23,14 @@ fn main() {
         let mut setup: Vec<Option<u64>> = Vec::new();
         let mut cap = 0u64;
         for s in 0..SEEDS {
-            let out = broadcast_single(&g, NodeId::new(0), 1, &params, s);
+            let out =
+                Scenario::new(TopologySpec::custom(g.clone()), Workload::Single { payload: 1 })
+                    .params(params.clone())
+                    .seed(s)
+                    .run();
             e2e.push(out.completion_round);
             setup.push(Some(out.phases.setup()));
-            cap = out.plan.total_rounds();
+            cap = out.cap;
         }
         let decay: Vec<_> = (0..SEEDS).map(|s| run_decay(&g, &params, s)).collect();
         let cr: Vec<_> = (0..SEEDS).map(|s| run_cr(&g, &params, s)).collect();

@@ -41,12 +41,11 @@
 #![warn(missing_debug_implementations)]
 
 use broadcast::decay::{DecayBroadcast, DecayMsg};
-use broadcast::multi_message::{broadcast_known, broadcast_unknown, BatchMode, KnownRunOpts};
+use broadcast::multi_message::{broadcast_known, BatchMode, KnownRunOpts};
 use broadcast::schedule::SlowKey;
-use broadcast::single_message::broadcast_single;
-use broadcast::Params;
+use broadcast::{Params, Scenario, TopologySpec, Workload};
 use radio_sim::graph::Traversal;
-use radio_sim::{CollisionMode, Graph, NodeId, Simulator};
+use radio_sim::{CollisionMode, FaultPlan, Graph, NodeId, Simulator};
 use rlnc::gf2::BitVec;
 
 /// Number of seeds per cell (kept small so `cargo bench` stays quick).
@@ -123,7 +122,11 @@ pub fn payloads(k: usize) -> Vec<BitVec> {
 
 /// Measured completion round of the Theorem 1.1 pipeline.
 pub fn run_ghk_single(g: &Graph, params: &Params, seed: u64) -> Option<u64> {
-    broadcast_single(g, NodeId::new(0), 0xFEED, params, seed).completion_round
+    Scenario::new(TopologySpec::custom(g.clone()), Workload::Single { payload: 0xFEED })
+        .params(params.clone())
+        .seed(seed)
+        .run()
+        .completion_round
 }
 
 /// Measured completion round of BGI Decay.
@@ -157,6 +160,7 @@ pub fn run_gpx_known(g: &Graph, params: &Params, seed: u64) -> Option<u64> {
         params,
         seed,
         KnownRunOpts::new().with_max_rounds(MAX_ROUNDS),
+        &FaultPlan::none(),
     )
     .completion_round
 }
@@ -170,6 +174,7 @@ pub fn run_known_k(g: &Graph, params: &Params, seed: u64, k: usize, key: SlowKey
         params,
         seed,
         KnownRunOpts::new().with_slow_key(key).with_max_rounds(MAX_ROUNDS),
+        &FaultPlan::none(),
     )
     .completion_round
 }
@@ -182,7 +187,12 @@ pub fn run_unknown_k(
     k: usize,
     mode: BatchMode,
 ) -> Option<u64> {
-    broadcast_unknown(g, NodeId::new(0), &payloads(k), params, seed, mode).completion_round
+    let workload = Workload::MultiUnknown { messages: payloads(k), batch: mode };
+    Scenario::new(TopologySpec::custom(g.clone()), workload)
+        .params(params.clone())
+        .seed(seed)
+        .run()
+        .completion_round
 }
 
 /// Measured completion round of the routing (no-coding) baseline.

@@ -5,9 +5,9 @@
 //!   then the MMV schedule of Section 3.2 runs with RLNC
 //!   (`O(D + k log n + log^2 n)` rounds). The slow-key and empty-behavior
 //!   knobs expose the E8 ablation (level keying) and the MMV noise stress.
-//! * [`GhkMultiNode`] / [`broadcast_unknown`] — **Theorem 1.3**, unknown
-//!   topology with collision detection: collision-wave layering → parallel
-//!   per-ring distributed GST construction → per-ring distributed
+//! * [`GhkMultiNode`] / [`broadcast_unknown_on`] — **Theorem 1.3**,
+//!   unknown topology with collision detection: collision-wave layering →
+//!   parallel per-ring distributed GST construction → per-ring distributed
 //!   virtual-distance labeling (Lemma 3.10) → dissemination, with message
 //!   *batches* pipelined across rings and forward error correction (a random
 //!   linear fountain) carrying each batch across ring boundaries
@@ -21,7 +21,7 @@
 //!
 //! ## Adaptive phase termination
 //!
-//! [`broadcast_unknown`] runs the pipeline **adaptively**, on the driver
+//! The pipeline runs only **adaptively**, on the driver
 //! skeleton it shares with Theorem 1.1 (`crate::adaptive`; see the
 //! `single_message` module docs for the in-model justification of status
 //! rounds and the shared cursor): the wave closes when the frontier stops,
@@ -70,14 +70,6 @@ use rlnc::{CodedPacket, Decoder};
 use std::cell::Cell;
 use std::rc::Rc;
 
-/// Round accounting of one Theorem 1.3 run, by phase: the unified
-/// [`Phases`] record, whose fields are exactly this pipeline's phases. Runs
-/// without the adaptive driver still account for every executed round —
-/// [`broadcast_known`] has no setup phases, so it reports all its rounds as
-/// `disseminate` work — keeping `phases.total() == stats.rounds` an
-/// invariant of every entry point.
-pub type MultiPhaseRounds = Phases;
-
 /// Outcome of a multi-message run.
 #[derive(Clone, Debug)]
 pub struct MultiOutcome {
@@ -85,10 +77,15 @@ pub struct MultiOutcome {
     pub completion_round: Option<u64>,
     /// Rounds budgeted/executed.
     pub rounds_budget: u64,
+    /// The executed Theorem 1.3 plan (ring/batch geometry and caps); `None`
+    /// for Theorem 1.2 runs, which follow no phase plan.
+    pub plan: Option<GhkMultiPlan>,
     /// Aggregated schedule audit counters.
     pub audit: SchedAudit,
-    /// Rounds actually spent by phase (adaptive runs only).
-    pub phases: MultiPhaseRounds,
+    /// Rounds actually spent, by phase. [`broadcast_known`] has no setup
+    /// phases, so it reports all its rounds as `disseminate` work, keeping
+    /// `phases.total() == stats.rounds` on both pipelines.
+    pub phases: Phases,
     /// Channel statistics of the run.
     pub stats: RunStats,
     /// Round at which the driver armed the rung-3 no-knowledge Decay flood,
@@ -164,11 +161,16 @@ impl KnownRunOpts {
     }
 }
 
-/// Theorem 1.2: known-topology k-message broadcast.
+/// Theorem 1.2: known-topology k-message broadcast under a seeded
+/// adversarial [`FaultPlan`] (see [`radio_sim::engine::faults`];
+/// [`FaultPlan::none`] for a clean channel).
 ///
 /// Builds the GST and virtual distances centrally (the shared-knowledge
 /// model), then runs the MMV schedule with RLNC until every node decodes all
-/// messages or [`KnownRunOpts::max_rounds`] elapse.
+/// messages or [`KnownRunOpts::max_rounds`] elapse. The GST and virtual
+/// distances come from the *initial* topology (the shared-knowledge model
+/// fixes them before the adversary acts); churn and mobility then degrade the
+/// live channel against that fixed schedule.
 ///
 /// Prefer the [`crate::run::Scenario`] facade for end-to-end experiments;
 /// this function is the underlying engine it drives for
@@ -178,29 +180,6 @@ impl KnownRunOpts {
 ///
 /// Panics if `messages` is empty or the graph is empty.
 pub fn broadcast_known(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    opts: KnownRunOpts,
-) -> MultiOutcome {
-    broadcast_known_faulted(graph, source, messages, params, seed, opts, &FaultPlan::none())
-}
-
-/// [`broadcast_known`] under a seeded adversarial
-/// [`FaultPlan`] (see [`radio_sim::engine::faults`]).
-///
-/// With [`FaultPlan::none`](radio_sim::FaultPlan::none) the run is
-/// bit-identical to [`broadcast_known`]. The GST and virtual distances are
-/// built centrally from the *initial* topology (the shared-knowledge model
-/// fixes them before the adversary acts); churn and mobility then degrade the
-/// live channel against that fixed schedule.
-///
-/// # Panics
-///
-/// Panics if `messages` is empty or the graph is empty.
-pub fn broadcast_known_faulted(
     graph: &Graph,
     source: NodeId,
     messages: &[BitVec],
@@ -246,7 +225,7 @@ pub fn broadcast_known_faulted(
     // Theorem 1.2 has no setup phases: every executed round is schedule-driven
     // dissemination work, so the unified per-phase accounting stays exact
     // (`phases.total() == stats.rounds`) across all three theorems.
-    let phases = MultiPhaseRounds { disseminate: stats.rounds, ..MultiPhaseRounds::default() };
+    let phases = Phases { disseminate: stats.rounds, ..Phases::default() };
     // Theorem 1.2 nodes carry their full schedule state for the whole run
     // (there are no phases to retire through), so the peak is the steady
     // state: the materialized graph plus one schedule shell per node.
@@ -254,6 +233,7 @@ pub fn broadcast_known_faulted(
     MultiOutcome {
         completion_round,
         rounds_budget: opts.max_rounds,
+        plan: None,
         audit,
         phases,
         stats,
@@ -412,8 +392,6 @@ pub enum GhkMultiPhase {
         /// Round within the fallback.
         offset: u64,
     },
-    /// Pipeline finished.
-    Done,
 }
 
 impl Advance for GhkMultiPhase {
@@ -436,30 +414,18 @@ impl Advance for GhkMultiPhase {
             GhkMultiPhase::Fallback { offset } => {
                 GhkMultiPhase::Fallback { offset: offset + delta }
             }
-            GhkMultiPhase::Done => GhkMultiPhase::Done,
         }
     }
 }
 
 impl GhkMultiPlan {
-    /// Builds the plan for `k` messages under `params`, with the fixed
-    /// pipeline's ring width ([`Params::ring_width_for`]).
-    pub fn new(params: &Params, d_bound: u32, k: usize, mode: BatchMode) -> Self {
-        let d_bound = d_bound.max(1);
-        Self::build(params, d_bound, k, mode, params.ring_width_for(d_bound))
-    }
-
-    /// Builds the plan for the *adaptive* driver, which prefers narrow rings
+    /// Builds the plan for `k` messages under `params`. Rings are narrow
     /// ([`Params::adaptive_ring_width`]): with pay-as-you-go windows and
     /// handoffs, parallel narrow-ring construction wins exactly as it does
-    /// for the adaptive Theorem 1.1 pipeline.
-    pub fn new_adaptive(params: &Params, d_bound: u32, k: usize, mode: BatchMode) -> Self {
+    /// for the Theorem 1.1 pipeline.
+    pub fn new(params: &Params, d_bound: u32, k: usize, mode: BatchMode) -> Self {
         let d_bound = d_bound.max(1);
-        Self::build(params, d_bound, k, mode, params.adaptive_ring_width(d_bound))
-    }
-
-    fn build(params: &Params, d_bound: u32, k: usize, mode: BatchMode, width: u32) -> Self {
-        let ring_width = width.min(d_bound + 1).max(2);
+        let ring_width = params.adaptive_ring_width(d_bound).min(d_bound + 1).max(2);
         let ring_count = (d_bound + 1).div_ceil(ring_width);
         let batch_size = mode.batch_size(k);
         let batch_count = k.div_ceil(batch_size);
@@ -514,9 +480,8 @@ impl GhkMultiPlan {
         start..end
     }
 
-    /// Total rounds of the fixed (worst-case) phase layout, which doubles as
-    /// the adaptive driver's hard cap: the sum of every phase's work budget
-    /// plus the status-round overhead the adaptive run may add. Still
+    /// The driver's hard cap: the sum of every phase's work budget plus the
+    /// status-round overhead the adaptive run may add. Still
     /// `O(D + k log n + polylog)`.
     pub fn total_rounds(&self) -> u64 {
         self.wave_budget
@@ -525,55 +490,6 @@ impl GhkMultiPlan {
             + self.vl_rounds
             + self.label_status
             + u64::from(self.window_count()) * (self.window_budget + self.handoff_budget)
-    }
-
-    /// Total rounds of the fixed phase layout alone (what
-    /// [`GhkMultiPlan::phase`] resolves over, excluding adaptive status
-    /// overhead).
-    pub fn fixed_rounds(&self) -> u64 {
-        u64::from(self.d_bound)
-            + self.cons_rounds
-            + self.vl_rounds
-            + u64::from(self.window_count()) * (self.window + self.handoff)
-    }
-
-    /// Global round at which the labeling phase ends (fixed layout).
-    fn label_end(&self) -> u64 {
-        u64::from(self.d_bound) + self.cons_rounds + self.vl_rounds
-    }
-
-    /// Global round at which window `w`'s dissemination starts (fixed
-    /// layout).
-    fn cycle_start(&self, w: u32) -> u64 {
-        self.label_end() + u64::from(w) * (self.window + self.handoff)
-    }
-
-    /// Resolves round `t` to its phase.
-    pub fn phase(&self, t: u64) -> GhkMultiPhase {
-        let mut t = t;
-        if t < u64::from(self.d_bound) {
-            return GhkMultiPhase::Wave { offset: t };
-        }
-        t -= u64::from(self.d_bound);
-        if t < self.cons_rounds {
-            return GhkMultiPhase::Construct { offset: t };
-        }
-        t -= self.cons_rounds;
-        if t < self.vl_rounds {
-            return GhkMultiPhase::Label { offset: t };
-        }
-        t -= self.vl_rounds;
-        let cycle = self.window + self.handoff;
-        let w = u32::try_from(t / cycle).expect("fits");
-        if w >= self.window_count() {
-            return GhkMultiPhase::Done;
-        }
-        let in_cycle = t % cycle;
-        if in_cycle < self.window {
-            GhkMultiPhase::Disseminate { window: w, offset: in_cycle }
-        } else {
-            GhkMultiPhase::Handoff { window: w, offset: in_cycle - self.window }
-        }
     }
 }
 
@@ -630,17 +546,16 @@ struct BatchState {
 
 /// One node of the Theorem 1.3 pipeline.
 ///
-/// Runs in one of two modes: **fixed** (the default) derives its phase from
-/// the round number via [`GhkMultiPlan::phase`]; **adaptive**
-/// ([`GhkMultiNode::with_cursor`]) reads the shared [`Cursor`] cell the
-/// quiescence-driven driver advances.
+/// The node reads its phase from the shared [`Cursor`] cell the
+/// quiescence-driven driver advances; it never derives a phase from the
+/// round number.
 #[derive(Clone, Debug)]
 pub struct GhkMultiNode {
     id: u32,
     params: Params,
     plan: GhkMultiPlan,
     payload_bits: usize,
-    step: Option<CursorCell<GhkMultiPhase, MultiProbe>>,
+    step: CursorCell<GhkMultiPhase, MultiProbe>,
     wave: CollisionWaveLayering,
     /// Frontier reached this node since the last wave status round.
     wave_dirty: bool,
@@ -670,7 +585,7 @@ pub struct GhkMultiNode {
     /// Window-drop counter (batch incomplete at window end).
     drops: u64,
     decay: DecaySchedule,
-    /// Whether cursor mode emits real segment wake hints
+    /// Whether the node emits real segment wake hints
     /// ([`Pacing::Segment`]) or `Wake::Now` every round ([`Pacing::PerStep`]).
     seg_hints: bool,
     /// Handoff FEC repair aggressiveness (see [`MultiRunOpts::fec_repair`]);
@@ -679,10 +594,12 @@ pub struct GhkMultiNode {
 }
 
 impl GhkMultiNode {
-    /// A pipeline node; the source holds all `messages`.
+    /// A pipeline node; the source holds all `messages`. All nodes of one
+    /// run share the `step` cell (the materialized phase cursor).
     pub fn new(
         params: &Params,
         plan: GhkMultiPlan,
+        step: CursorCell<GhkMultiPhase, MultiProbe>,
         id: u32,
         payload_bits: usize,
         messages: Option<Vec<BitVec>>,
@@ -700,7 +617,7 @@ impl GhkMultiNode {
             params: params.clone(),
             plan,
             payload_bits,
-            step: None,
+            step,
             wave: CollisionWaveLayering::new(is_source),
             wave_dirty: false,
             ring: None,
@@ -720,16 +637,8 @@ impl GhkMultiNode {
         }
     }
 
-    /// Switches the node to adaptive mode: it follows the shared step cell
-    /// instead of the round-derived fixed phase layout.
-    pub fn with_cursor(mut self, step: CursorCell<GhkMultiPhase, MultiProbe>) -> Self {
-        self.step = Some(step);
-        self
-    }
-
-    /// Selects how cursor mode answers [`Protocol::next_wake`] (segment
-    /// hints vs. the per-step `Wake::Now` regime of the equivalence suites).
-    /// Fixed-plan mode is unaffected.
+    /// Selects how the node answers [`Protocol::next_wake`] (segment hints
+    /// vs. the per-step `Wake::Now` regime of the equivalence suites).
     pub fn with_pacing(mut self, pacing: Pacing) -> Self {
         self.seg_hints = pacing == Pacing::Segment;
         self
@@ -893,8 +802,8 @@ impl GhkMultiNode {
 
     /// Harvests a pending FEC reception once its handoff window is over
     /// (i.e. the current phase is anything but that window's handoff slot).
-    /// Runs at the top of every `act`, so the first round of the following
-    /// phase finalizes the handoff on both the fixed and adaptive paths.
+    /// Runs at the top of every work `act`, so the first round of the
+    /// following phase finalizes the handoff.
     fn flush_fec(&mut self, phase: GhkMultiPhase) {
         if let Some((window, batch)) = self.fec_pending {
             let still_open =
@@ -1100,7 +1009,7 @@ impl PipelineNode for GhkMultiNode {
 }
 
 impl GhkMultiNode {
-    /// The cursor-mode wake hint within a published work segment: the
+    /// The wake hint within a published work segment: the
     /// earliest round `>= round` at which this node's `act` might transmit,
     /// draw from its RNG, or make an observable state change — clamped to
     /// the segment end, so the node is re-polled whenever the driver moves
@@ -1220,8 +1129,6 @@ impl GhkMultiNode {
                     sleep
                 }
             }
-            // The adaptive driver never publishes `Done` segments.
-            GhkMultiPhase::Done => Wake::Now,
         }
     }
 }
@@ -1234,101 +1141,18 @@ impl Protocol for GhkMultiNode {
     const SILENCE_IS_NOOP: bool = true;
     const WAKE_HINTS: bool = true;
 
-    /// Wake hints for both modes.
-    ///
-    /// **Fixed mode** (`round`-derived phases): unlayered nodes idle until
-    /// the wave reaches them; parity-slotted phases wake on the node's
-    /// parity only; dissemination sleeps between the node's MMV schedule
-    /// slots; handoffs wake only the boundary senders (plus one entry round
-    /// each for the harvest transitions); `Done` idles once everything is
-    /// harvested.
-    ///
-    /// **Adaptive (cursor) mode**: hints derive from the published
-    /// [`Segment`] — same phase logic with virtual offsets, clamped to the
-    /// segment end so every cursor change finds the node awake (the old
-    /// blanket `Wake::Now` fallback is gone; `tests/determinism.rs` pins the
-    /// batched trace against per-step pacing).
+    /// Segment-derived wake hints (see [`crate::adaptive`]): status and idle
+    /// rounds poll everyone; work segments sleep the node through rounds in
+    /// which its phase provably keeps it inert, clamped to the segment end
+    /// (`tests/determinism.rs` pins the batched trace against per-step
+    /// pacing).
     fn next_wake(&self, round: u64) -> Wake {
-        if let Some(cell) = &self.step {
-            if !self.seg_hints {
-                return Wake::Now;
-            }
-            return match cell.get() {
-                Cursor::Idle | Cursor::Status(_) => Wake::Now,
-                Cursor::Work(seg) => self.segment_wake(&seg, round),
-            };
+        if !self.seg_hints {
+            return Wake::Now;
         }
-        let layered = self.wave.level().is_some();
-        match self.plan.phase(round) {
-            GhkMultiPhase::Wave { .. } => match self.wave.level() {
-                Some(l) if u64::from(l) <= round => Wake::Now,
-                Some(l) => Wake::At(u64::from(l)),
-                None => Wake::Idle,
-            },
-            GhkMultiPhase::Construct { offset } | GhkMultiPhase::Label { offset } => {
-                match self.ring {
-                    None if !layered => Wake::Idle,
-                    // Layered but ring not derived yet: next act derives it.
-                    None => Wake::Now,
-                    Some((ring, _)) => {
-                        if offset % 2 == u64::from(ring % 2) {
-                            Wake::Now
-                        } else {
-                            Wake::At(round + 1)
-                        }
-                    }
-                }
-            }
-            GhkMultiPhase::Disseminate { window, offset } => {
-                if self.ring.is_none() {
-                    return if layered { Wake::Now } else { Wake::Idle };
-                }
-                if self.window_seen != Some(window) || self.fec_pending.is_some() {
-                    return Wake::Now; // entry round: setup + pending harvests
-                }
-                let handoff_start = self.plan.cycle_start(window) + self.plan.window;
-                match &self.sched {
-                    Some(a) => {
-                        let next = round + (a.node.next_act_round(offset) - offset);
-                        Wake::At(next.min(handoff_start))
-                    }
-                    None => Wake::At(handoff_start),
-                }
-            }
-            GhkMultiPhase::Handoff { window, offset } => {
-                if self.ring.is_none() {
-                    return if layered { Wake::Now } else { Wake::Idle };
-                }
-                if self.handoff_seen != Some(window) {
-                    return Wake::Now; // entry round: window harvest
-                }
-                let (ring, ring_level) = self.ring.expect("checked above");
-                let sender = ring_level == self.plan.ring_width - 1
-                    && ring + 1 < self.plan.ring_count
-                    && self
-                        .plan
-                        .batch_in_window(window, ring)
-                        .is_some_and(|b| self.batches[b as usize].decoded.is_some());
-                if sender {
-                    if offset % 2 == u64::from(ring % 2) {
-                        Wake::Now
-                    } else {
-                        Wake::At(round + 1)
-                    }
-                } else {
-                    Wake::At(self.plan.cycle_start(window + 1))
-                }
-            }
-            // The fixed plan never derives `Regional`/`Fallback` (they exist
-            // only for the adaptive driver's recovery segments).
-            GhkMultiPhase::Regional { .. } | GhkMultiPhase::Fallback { .. } => Wake::Now,
-            GhkMultiPhase::Done => {
-                if self.sched.is_none() && self.fec_pending.is_none() {
-                    Wake::Idle
-                } else {
-                    Wake::Now
-                }
-            }
+        match self.step.get() {
+            Cursor::Idle | Cursor::Status(_) => Wake::Now,
+            Cursor::Work(seg) => self.segment_wake(&seg, round),
         }
     }
 
@@ -1344,17 +1168,16 @@ impl Protocol for GhkMultiNode {
 
 impl GhkMultiNode {
     fn act_inner(&mut self, round: u64, rng: &mut SmallRng) -> Action<GhkMMsg> {
-        let phase = match self.step.as_ref().map(|c| c.get()) {
-            Some(Cursor::Idle) => return Action::Listen,
-            Some(Cursor::Status(p)) => {
+        let phase = match self.step.get() {
+            Cursor::Idle => return Action::Listen,
+            Cursor::Status(p) => {
                 return if self.answer(p) {
                     Action::Transmit(GhkMMsg::Status)
                 } else {
                     Action::Listen
                 };
             }
-            Some(Cursor::Work(seg)) => seg.pos_at(round).expect("act within the published segment"),
-            None => self.plan.phase(round),
+            Cursor::Work(seg) => seg.pos_at(round).expect("act within the published segment"),
         };
         self.flush_fec(phase);
         match phase {
@@ -1386,24 +1209,19 @@ impl GhkMultiNode {
             }
             GhkMultiPhase::Disseminate { window, offset } => {
                 self.ensure_window(window);
-                // Adaptive windows are 2-slotted by ring parity: adjacent
-                // rings work different batches in the same window, and the
-                // slotting keeps their schedules from colliding at ring
-                // boundaries (narrow rings put e.g. a corner node's only
-                // in-ring neighbor right next to the following ring's
-                // roots, which share its slow-slot timing).
-                let offset = if self.step.is_some() {
-                    let Some((ring, _)) = self.ring else { return Action::Listen };
-                    if offset % 2 != u64::from(ring % 2) {
-                        return Action::Listen;
-                    }
-                    offset / 2
-                } else {
-                    offset
-                };
+                // Windows are 2-slotted by ring parity: adjacent rings work
+                // different batches in the same window, and the slotting
+                // keeps their schedules from colliding at ring boundaries
+                // (narrow rings put e.g. a corner node's only in-ring
+                // neighbor right next to the following ring's roots, which
+                // share its slow-slot timing).
+                let Some((ring, _)) = self.ring else { return Action::Listen };
+                if offset % 2 != u64::from(ring % 2) {
+                    return Action::Listen;
+                }
                 let Some(active) = self.sched.as_mut() else { return Action::Listen };
                 let batch = active.batch;
-                match active.node.act(offset, rng) {
+                match active.node.act(offset / 2, rng) {
                     Action::Transmit(msg) => Action::Transmit(GhkMMsg::Sched { batch, msg }),
                     Action::Listen => Action::Listen,
                 }
@@ -1458,20 +1276,15 @@ impl GhkMultiNode {
                 // bookkeeping — every held batch is fair game.
                 self.flood(0..self.plan.batch_count, offset, rng)
             }
-            GhkMultiPhase::Done => {
-                self.harvest_window();
-                Action::Listen
-            }
         }
     }
 
     fn observe_inner(&mut self, round: u64, obs: Observation<GhkMMsg>, rng: &mut SmallRng) {
-        let phase = match self.step.as_ref().map(|c| c.get()) {
-            Some(Cursor::Idle) | Some(Cursor::Status(_)) => return,
-            Some(Cursor::Work(seg)) => {
+        let phase = match self.step.get() {
+            Cursor::Idle | Cursor::Status(_) => return,
+            Cursor::Work(seg) => {
                 seg.pos_at(round).expect("observation within the published segment")
             }
-            None => self.plan.phase(round),
         };
         match phase {
             GhkMultiPhase::Wave { offset } => {
@@ -1512,16 +1325,11 @@ impl GhkMultiNode {
                 }
             }
             GhkMultiPhase::Disseminate { offset, .. } => {
-                // Mirror the act-side parity slotting of adaptive windows.
-                let offset = if self.step.is_some() {
-                    let Some((ring, _)) = self.ring else { return };
-                    if offset % 2 != u64::from(ring % 2) {
-                        return;
-                    }
-                    offset / 2
-                } else {
-                    offset
-                };
+                // Mirror the act-side parity slotting of the windows.
+                let Some((ring, _)) = self.ring else { return };
+                if offset % 2 != u64::from(ring % 2) {
+                    return;
+                }
                 let Some(active) = self.sched.as_mut() else { return };
                 // Other batches' packets are noise for this node — dropped
                 // here without ever copying the payload.
@@ -1529,7 +1337,7 @@ impl GhkMultiNode {
                     GhkMMsg::Sched { batch, msg } if *batch == active.batch => Some(msg.clone()),
                     _ => None,
                 });
-                active.node.observe(offset, mapped, rng);
+                active.node.observe(offset / 2, mapped, rng);
             }
             GhkMultiPhase::Handoff { window, offset: _ } => {
                 let Some((ring, ring_level)) = self.ring else { return };
@@ -1579,7 +1387,6 @@ impl GhkMultiNode {
                 // by hop.
                 self.collect_fec(&obs);
             }
-            GhkMultiPhase::Done => {}
         }
     }
 }
@@ -1604,7 +1411,7 @@ impl<T: Topology> MultiDriver<T> {
     /// order; the phase ends early once every node is labelled or a frontier
     /// comes up empty (labels only ever derive `d + 1` from `d`, so an empty
     /// `S_d` means no later substage can label anyone — unlabelled nodes
-    /// fall back to the `2·log n` cap exactly as under the fixed schedule).
+    /// fall back to the `2·log n` cap exactly as under the full schedule).
     fn label(&mut self) {
         let vl = self.plan.vl;
         let per_d = vl.per_d_rounds();
@@ -1666,17 +1473,17 @@ impl<T: Topology> MultiDriver<T> {
         assert!(topology.node_count() > 0, "graph must be non-empty");
         let payload_bits = messages[0].len();
         let d = bfs_layering(&topology, &[source]).max_level();
-        let plan = GhkMultiPlan::new_adaptive(params, d.max(1), messages.len(), opts.batch);
+        let plan = GhkMultiPlan::new(params, d.max(1), messages.len(), opts.batch);
         let step = Rc::new(Cell::new(Cursor::Idle));
         let sim = Simulator::new_with_faults(topology, opts.mode, seed, faults.clone(), |id| {
             GhkMultiNode::new(
                 params,
                 plan,
+                Rc::clone(&step),
                 id.raw(),
                 payload_bits,
                 (id == source).then(|| messages.to_vec()),
             )
-            .with_cursor(Rc::clone(&step))
             .with_pacing(opts.pacing)
             .with_fec_repair(opts.fec_repair)
         });
@@ -1772,6 +1579,7 @@ impl<T: Topology> MultiDriver<T> {
         MultiOutcome {
             completion_round: p.completion,
             rounds_budget: plan.total_rounds(),
+            plan: Some(plan),
             audit,
             phases: p.phases,
             stats: p.sim.stats().clone(),
@@ -1840,31 +1648,7 @@ impl<T: Topology> PipelineDriver for MultiDriver<T> {
     }
 }
 
-/// Runs Theorem 1.3 end to end **adaptively**: the paper's phase windows are
-/// kept as hard caps ([`GhkMultiPlan::total_rounds`] bounds every run), but
-/// each phase terminates via in-model status beeps as soon as its work is
-/// done — dissemination windows end on ring quiescence, handoff slots
-/// collapse when the batch already crossed, and construction runs the
-/// quiescence-skipping driver shared with Theorem 1.1. Narrow adaptive rings
-/// ([`GhkMultiPlan::new_adaptive`]) keep construction parallel and shallow.
-///
-/// Returns the outcome plus per-node drop count.
-///
-/// # Panics
-///
-/// Panics if `messages` is empty or the graph is empty.
-pub fn broadcast_unknown(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    mode: BatchMode,
-) -> MultiOutcome {
-    broadcast_unknown_with(graph, source, messages, params, seed, MultiRunOpts::new(mode))
-}
-
-/// Knobs of [`broadcast_unknown_with`] beyond the theorem's defaults.
+/// Knobs of [`broadcast_unknown_on`] beyond the theorem's defaults.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MultiRunOpts {
     /// Message batching.
@@ -1919,48 +1703,20 @@ impl MultiRunOpts {
     }
 }
 
-/// [`broadcast_unknown`] with explicit [`MultiRunOpts`].
+/// Runs Theorem 1.3 end to end **adaptively** over any [`Topology`] under a
+/// seeded adversarial [`FaultPlan`] (see [`radio_sim::engine::faults`];
+/// [`FaultPlan::none`] for a clean channel).
 ///
-/// # Panics
-///
-/// Panics if `messages` is empty or the graph is empty.
-pub fn broadcast_unknown_with(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    opts: MultiRunOpts,
-) -> MultiOutcome {
-    broadcast_unknown_faulted(graph, source, messages, params, seed, opts, &FaultPlan::none())
-}
-
-/// [`broadcast_unknown_with`] under a seeded adversarial
-/// [`FaultPlan`] (see [`radio_sim::engine::faults`]).
-///
-/// With [`FaultPlan::none`](radio_sim::FaultPlan::none) the run is
-/// bit-identical to [`broadcast_unknown_with`]. The diameter-derived plan is
-/// computed from the *initial* topology; pair lossy plans with
+/// The paper's phase windows are kept as hard caps
+/// ([`GhkMultiPlan::total_rounds`] bounds every run), but each phase
+/// terminates via in-model status beeps as soon as its work is done —
+/// dissemination windows end on ring quiescence, handoff slots collapse when
+/// the batch already crossed, and construction runs the quiescence-skipping
+/// driver shared with Theorem 1.1. Narrow rings ([`GhkMultiPlan::new`]) keep
+/// construction parallel and shallow. The diameter-derived plan is computed
+/// from the *initial* topology; pair lossy plans with
 /// [`MultiRunOpts::fec_repair`] to buy erasure protection at the ring
 /// handoffs.
-///
-/// # Panics
-///
-/// Panics if `messages` is empty or the graph is empty.
-pub fn broadcast_unknown_faulted(
-    graph: &Graph,
-    source: NodeId,
-    messages: &[BitVec],
-    params: &Params,
-    seed: u64,
-    opts: MultiRunOpts,
-    faults: &FaultPlan,
-) -> MultiOutcome {
-    broadcast_unknown_on(graph.clone(), source, messages, params, seed, opts, faults)
-}
-
-/// [`broadcast_unknown_faulted`] over any [`Topology`] — the generic entry
-/// point the streamed pipelines use.
 ///
 /// A streamed topology (e.g. [`radio_sim::ImplicitGraph`]) produces a run
 /// bit-identical to the same topology materialized: neighborhoods are
@@ -1998,6 +1754,18 @@ mod tests {
         (0..k as u64).map(|i| BitVec::from_u64(i.wrapping_mul(37) & 0xFFFF, 32)).collect()
     }
 
+    /// A clean Theorem 1.3 run from node 0 with the theorem's defaults.
+    fn unknown(
+        g: Graph,
+        messages: &[BitVec],
+        params: &Params,
+        seed: u64,
+        batch: BatchMode,
+    ) -> MultiOutcome {
+        let opts = MultiRunOpts::new(batch);
+        broadcast_unknown_on(g, NodeId::new(0), messages, params, seed, opts, &FaultPlan::none())
+    }
+
     #[test]
     fn known_topology_broadcasts_k_messages() {
         let g = generators::grid(6, 6);
@@ -2009,6 +1777,7 @@ mod tests {
             &params,
             1,
             KnownRunOpts::new().with_max_rounds(300_000),
+            &FaultPlan::none(),
         );
         assert!(out.completion_round.is_some());
         assert_eq!(out.audit.fast_collisions_in_stretch, 0);
@@ -2046,7 +1815,7 @@ mod tests {
     fn unknown_topology_single_ring_full_k() {
         let g = generators::cluster_chain(4, 5);
         let params = Params::scaled(20);
-        let out = broadcast_unknown(&g, NodeId::new(0), &msgs(4), &params, 2, BatchMode::FullK);
+        let out = unknown(g, &msgs(4), &params, 2, BatchMode::FullK);
         assert!(out.completion_round.is_some(), "T1.3 failed within {} rounds", out.rounds_budget);
     }
 
@@ -2054,7 +1823,7 @@ mod tests {
     fn unknown_topology_on_grid() {
         let g = generators::grid(5, 5);
         let params = Params::scaled(25);
-        let out = broadcast_unknown(&g, NodeId::new(0), &msgs(6), &params, 3, BatchMode::FullK);
+        let out = unknown(g, &msgs(6), &params, 3, BatchMode::FullK);
         assert!(out.completion_round.is_some());
     }
 
@@ -2065,8 +1834,7 @@ mod tests {
         let g = generators::cluster_chain(8, 3);
         let mut params = Params::scaled(24);
         params.ring_width = Some(4);
-        let out =
-            broadcast_unknown(&g, NodeId::new(0), &msgs(6), &params, 4, BatchMode::Generations(3));
+        let out = unknown(g, &msgs(6), &params, 4, BatchMode::Generations(3));
         assert!(
             out.completion_round.is_some(),
             "pipelined T1.3 failed within {} rounds",
@@ -2088,7 +1856,6 @@ mod tests {
             }
         }
         assert_eq!(plan.batch_in_window(0, 1), None);
-        assert_eq!(plan.phase(plan.total_rounds()), GhkMultiPhase::Done);
     }
 
     #[test]
@@ -2097,7 +1864,7 @@ mod tests {
         // (the fixed windows used to be executed verbatim).
         let g = generators::cluster_chain(6, 6);
         let params = Params::scaled(36);
-        let out = broadcast_unknown(&g, NodeId::new(0), &msgs(8), &params, 11, BatchMode::FullK);
+        let out = unknown(g, &msgs(8), &params, 11, BatchMode::FullK);
         let done = out.completion_round.expect("completes");
         assert!(done <= out.rounds_budget, "cap violated: {done} > {}", out.rounds_budget);
         assert!(
@@ -2161,44 +1928,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fixed_path_wake_hints_match_dense() {
-        // The fixed-plan node opts into the wake-list engine; its trace must
-        // be identical to the dense sweep.
-        use radio_sim::graph::Traversal;
-        use radio_sim::DenseWrap;
-        let g = generators::cluster_chain(4, 5);
-        let params = Params::scaled(20);
-        let messages = msgs(4);
-        let d = g.bfs(NodeId::new(0)).max_level();
-        let plan = GhkMultiPlan::new(&params, d, 4, BatchMode::FullK);
-        let make = |id: NodeId| {
-            GhkMultiNode::new(
-                &params,
-                plan,
-                id.raw(),
-                32,
-                (id.index() == 0).then(|| messages.clone()),
-            )
-        };
-        let mut wake = Simulator::new(g.clone(), CollisionMode::Detection, 5, make);
-        let mut dense =
-            Simulator::new(g.clone(), CollisionMode::Detection, 5, |id| DenseWrap(make(id)));
-        wake.run(plan.fixed_rounds() + 1);
-        dense.run(plan.fixed_rounds() + 1);
-        assert_eq!(
-            (wake.stats().transmissions, wake.stats().deliveries, wake.stats().collisions),
-            (dense.stats().transmissions, dense.stats().deliveries, dense.stats().collisions),
-            "channel trace diverged"
-        );
-        for (i, (w, d)) in wake.nodes().iter().zip(dense.nodes()).enumerate() {
-            assert_eq!(w.messages(), d.0.messages(), "node {i} decoded differently");
-            assert_eq!(w.messages().as_deref(), Some(&messages[..]), "node {i} wrong payloads");
-        }
-        assert!(wake.stats().act_skips > 0, "no act was ever skipped");
-        assert_eq!(dense.stats().act_skips, 0);
     }
 
     #[test]

@@ -19,16 +19,16 @@
 //! |---|---|
 //! | run any algorithm on a declared topology, compare apples to apples | [`Scenario`] (this module) |
 //! | sweep seeds and aggregate | [`Scenario::seeds`] → [`SeedMatrix`] |
-//! | Theorem 1.1 on a pre-built [`Graph`], typed [`Ghk1Outcome`](crate::single_message::Ghk1Outcome) | [`broadcast_single`](crate::single_message::broadcast_single) and friends |
-//! | Theorem 1.2 with explicit [`KnownRunOpts`] | [`broadcast_known`](crate::multi_message::broadcast_known) |
-//! | Theorem 1.3 with explicit [`MultiRunOpts`] | [`broadcast_unknown_with`](crate::multi_message::broadcast_unknown_with) |
+//! | Theorem 1.1 on any [`Topology`], typed [`Ghk1Outcome`](crate::single_message::Ghk1Outcome) | [`broadcast_single_on`] |
+//! | Theorem 1.2 with explicit [`KnownRunOpts`] | [`broadcast_known`] |
+//! | Theorem 1.3 on any [`Topology`] with explicit [`MultiRunOpts`] | [`broadcast_unknown_on`] |
 //! | drive a protocol round by round | [`radio_sim::Simulator`] directly |
 //!
-//! The free functions are the engines this facade drives; they stay public
-//! for callers that need the algorithm-specific outcome types. A `Scenario`
-//! run is **bit-identical** to the corresponding free-function call with the
-//! same graph, parameters and seed — `tests/e2e_scenario.rs` pins this on
-//! both collision modes.
+//! Each theorem has exactly one free function: the engine this facade
+//! drives, public for callers that need the algorithm-specific outcome
+//! types. A `Scenario` run is **bit-identical** to the corresponding
+//! free-function call with the same graph, parameters and seed —
+//! `tests/e2e_scenario.rs` pins this on both collision modes.
 //!
 //! ```
 //! use broadcast::{Scenario, TopologySpec, Workload};
@@ -47,12 +47,11 @@
 use crate::adaptive::Pacing;
 use crate::decay::{DecayBroadcast, DecayMsg, MmvDecayBroadcast};
 use crate::multi_message::{
-    broadcast_known_faulted, broadcast_unknown_on, BatchMode, GhkMultiPlan, KnownRunOpts,
-    MultiRunOpts,
+    broadcast_known, broadcast_unknown_on, BatchMode, GhkMultiPlan, KnownRunOpts, MultiRunOpts,
 };
 use crate::params::Params;
 use crate::schedule::{EmptyBehavior, SchedAudit, SlowKey};
-use crate::single_message::{broadcast_single_on, Ghk1Plan, PhaseRounds};
+use crate::single_message::{broadcast_single_on, Ghk1Plan};
 use radio_sim::graph::{bfs_layering, generators};
 use radio_sim::rng::stream_rng;
 use radio_sim::trace::RunStats;
@@ -361,25 +360,10 @@ impl Phases {
             + self.fallback
             + self.status
     }
-}
 
-impl From<PhaseRounds> for Phases {
-    fn from(p: PhaseRounds) -> Self {
-        // Exhaustive destructuring (no `..`): adding a phase field to the
-        // pipeline accounting without mapping it here must not compile, or
-        // the `phases.total() == stats.rounds` invariant would silently
-        // break for facade callers.
-        let PhaseRounds { wave, construct, broadcast, handoff, repair, fallback, status } = p;
-        Phases {
-            wave,
-            construct,
-            label: 0,
-            disseminate: broadcast,
-            handoff,
-            repair,
-            fallback,
-            status,
-        }
+    /// One-time setup cost (layering + GST construction work rounds).
+    pub fn setup(&self) -> u64 {
+        self.wave + self.construct
     }
 }
 
@@ -883,7 +867,7 @@ impl Scenario {
                 Outcome {
                     completion_round: out.completion_round,
                     cap: out.plan.total_rounds(),
-                    phases: out.phases.into(),
+                    phases: out.phases,
                     stats: out.stats,
                     audit: out.audit,
                     peak_state_bytes: out.peak_state_bytes,
@@ -905,7 +889,7 @@ impl Scenario {
                 if let Some(cap) = self.round_cap {
                     opts = opts.with_max_rounds(cap);
                 }
-                let out = broadcast_known_faulted(
+                let out = broadcast_known(
                     graph,
                     self.source,
                     messages,
@@ -938,17 +922,7 @@ impl Scenario {
                     opts,
                     &self.faults,
                 );
-                // The engine derives the same plan internally; recompute it
-                // here (deterministic) so the typed detail carries the full
-                // ring/batch geometry, not just the cap. The cap check below
-                // keeps this derivation honest if the engine's ever changes.
-                let d = bfs_layering(topo, &[self.source]).max_level();
-                let plan = GhkMultiPlan::new_adaptive(&params, d.max(1), messages.len(), *batch);
-                assert_eq!(
-                    plan.total_rounds(),
-                    out.rounds_budget,
-                    "facade plan derivation diverged from the engine's"
-                );
+                let plan = out.plan.expect("Theorem 1.3 runs carry their plan");
                 Outcome {
                     completion_round: out.completion_round,
                     cap: out.rounds_budget,
@@ -1076,7 +1050,6 @@ pub struct SweepJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi_message::MultiPhaseRounds;
 
     #[test]
     fn specs_build_expected_sizes() {
@@ -1096,40 +1069,6 @@ mod tests {
         let spec = TopologySpec::UnitDisk { n: 30, radius: 0.3, graph_seed: 11 };
         let (a, b) = (spec.build(), spec.build());
         assert_eq!(a.edge_count(), b.edge_count(), "same spec must build the same graph");
-    }
-
-    #[test]
-    fn phases_roundtrip_from_both_pipelines() {
-        let single = PhaseRounds {
-            wave: 1,
-            construct: 2,
-            broadcast: 3,
-            handoff: 4,
-            repair: 8,
-            fallback: 6,
-            status: 5,
-        };
-        let p: Phases = single.into();
-        assert_eq!(p.total(), single.total());
-        assert_eq!(p.disseminate, 3);
-        assert_eq!(p.repair, 8);
-        assert_eq!(p.fallback, 6);
-        let multi = MultiPhaseRounds {
-            wave: 1,
-            construct: 2,
-            label: 3,
-            disseminate: 4,
-            handoff: 5,
-            repair: 9,
-            fallback: 7,
-            status: 6,
-        };
-        // Theorem 1.3 accounts in `Phases` itself.
-        let p: Phases = multi;
-        assert_eq!(p.total(), multi.total());
-        assert_eq!(p.label, 3);
-        assert_eq!(p.repair, 9);
-        assert_eq!(p.fallback, 7);
     }
 
     #[test]

@@ -74,8 +74,7 @@ use radio_sim::graph::bfs_layering;
 use radio_sim::model::PacketBits;
 use radio_sim::trace::RunStats;
 use radio_sim::{
-    Action, CollisionMode, FaultPlan, Graph, NodeId, Observation, Protocol, Simulator, Topology,
-    Wake,
+    Action, CollisionMode, FaultPlan, NodeId, Observation, Protocol, Simulator, Topology, Wake,
 };
 use rand::rngs::SmallRng;
 use rlnc::gf2::BitVec;
@@ -927,48 +926,6 @@ impl Ghk1Node {
     }
 }
 
-/// Round accounting of one adaptive run, by phase. Work counters tally the
-/// rounds actually spent inside each phase; `status` tallies every dedicated
-/// beep round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseRounds {
-    /// Collision-wave work rounds.
-    pub wave: u64,
-    /// Construction work rounds (2-slotted).
-    pub construct: u64,
-    /// In-ring broadcast work rounds, summed over rings.
-    pub broadcast: u64,
-    /// Inter-ring handoff work rounds, summed over handoffs.
-    pub handoff: u64,
-    /// Recovery-ladder work rounds (rung-1 ring-local repair and rung-2
-    /// regional re-dissemination); 0 unless a handoff failed on a faulted
-    /// run.
-    pub repair: u64,
-    /// No-knowledge fallback work rounds (0 unless the driver armed the
-    /// recovery flood on a faulted run).
-    pub fallback: u64,
-    /// Status-beep rounds, all phases.
-    pub status: u64,
-}
-
-impl PhaseRounds {
-    /// Total rounds executed.
-    pub fn total(&self) -> u64 {
-        self.wave
-            + self.construct
-            + self.broadcast
-            + self.handoff
-            + self.repair
-            + self.fallback
-            + self.status
-    }
-
-    /// One-time setup cost (layering + GST construction work rounds).
-    pub fn setup(&self) -> u64 {
-        self.wave + self.construct
-    }
-}
-
 /// Outcome of a full pipeline run.
 #[derive(Clone, Debug)]
 pub struct Ghk1Outcome {
@@ -976,8 +933,9 @@ pub struct Ghk1Outcome {
     pub completion_round: Option<u64>,
     /// The executed plan (worst-case caps).
     pub plan: Ghk1Plan,
-    /// Rounds actually spent, by phase.
-    pub phases: PhaseRounds,
+    /// Rounds actually spent, by phase (in-ring broadcast rounds count as
+    /// `disseminate`; this pipeline has no labeling phase).
+    pub phases: Phases,
     /// Channel statistics of the run.
     pub stats: RunStats,
     /// Aggregated schedule audit.
@@ -1068,20 +1026,10 @@ impl<T: Topology> Driver<T> {
                 fallbacks += 1;
             }
         }
-        let Phases { wave, construct, label: _, disseminate, handoff, repair, fallback, status } =
-            p.phases;
         Ghk1Outcome {
             completion_round: p.completion,
             plan,
-            phases: PhaseRounds {
-                wave,
-                construct,
-                broadcast: disseminate,
-                handoff,
-                repair,
-                fallback,
-                status,
-            },
+            phases: p.phases,
             stats: p.sim.stats().clone(),
             audit,
             fallbacks,
@@ -1202,99 +1150,37 @@ impl<T: Topology> ConsDriver for RingRepair<'_, T> {
     }
 }
 
-/// Runs Theorem 1.1 end to end on `graph` from `source` under the given
-/// collision mode (the theorem needs [`CollisionMode::Detection`]; the
-/// no-detection mode exists for determinism and ablation tests — the wave
-/// stalls on dense graphs there, and the run reports `None`).
+/// Runs Theorem 1.1 end to end from `source` under the given collision mode
+/// and a seeded adversarial [`FaultPlan`] (see [`radio_sim::engine::faults`];
+/// [`FaultPlan::none`] for a clean channel). The theorem needs
+/// [`CollisionMode::Detection`]; the no-detection mode exists for
+/// determinism and ablation tests — the wave stalls on dense graphs there,
+/// and the run reports `None`. Prefer the [`crate::run::Scenario`] facade
+/// for end-to-end experiments.
 ///
-/// Thin wrapper over [`broadcast_single_with`] with the production pacing;
-/// prefer the [`crate::run::Scenario`] facade for end-to-end experiments.
-///
-/// # Panics
-///
-/// Panics if the graph is empty.
-pub fn broadcast_single_in_mode(
-    graph: &Graph,
-    source: NodeId,
-    payload: u64,
-    params: &Params,
-    seed: u64,
-    mode: CollisionMode,
-) -> Ghk1Outcome {
-    broadcast_single_with(graph, source, payload, params, seed, mode, Pacing::Segment)
-}
-
-/// [`broadcast_single_in_mode`] with an explicit driver [`Pacing`] — the
-/// single core path all Theorem 1.1 entry points (including
-/// [`crate::run::Scenario`] with [`crate::run::Workload::Single`]) collapse
-/// onto.
+/// Runs over any [`Topology`] — a materialized [`Graph`](radio_sim::Graph), a shared
+/// `Arc<Graph>` (no CSR clone per run), or a streamed
+/// [`ImplicitGraph`](radio_sim::ImplicitGraph), whose million-node runs
+/// never materialize `O(m)` adjacency. The run — trace, statistics, RNG
+/// streams, completion round — depends only on the neighborhoods the
+/// topology reports, so a streamed run is bit-identical to the same run over
+/// its materialization (`tests/streamed_topology.rs` pins this).
 ///
 /// [`Pacing::Segment`] (the production default) batches work rounds through
 /// the engine's wake-list fast path; [`Pacing::PerStep`] polls every node
 /// every round. The two pacings execute bit-identical round sequences —
-/// `tests/determinism.rs` pins the full trace equality.
-///
-/// # Panics
-///
-/// Panics if the graph is empty.
-pub fn broadcast_single_with(
-    graph: &Graph,
-    source: NodeId,
-    payload: u64,
-    params: &Params,
-    seed: u64,
-    mode: CollisionMode,
-    pacing: Pacing,
-) -> Ghk1Outcome {
-    broadcast_single_faulted(graph, source, payload, params, seed, mode, pacing, &FaultPlan::none())
-}
-
-/// [`broadcast_single_with`] under a seeded adversarial
-/// [`FaultPlan`] (see [`radio_sim::engine::faults`]).
-///
-/// With [`FaultPlan::none`](radio_sim::FaultPlan::none) the run — trace,
-/// statistics and RNG streams — is bit-identical to
-/// [`broadcast_single_with`]: fault randomness lives on its own seed
-/// streams. The plan's initial topology is `graph`; churn and mobility
-/// rewrite it as the run proceeds, and the diameter-derived plan is computed
-/// from the *initial* topology (the adversary does not get to re-negotiate
-/// the round budget).
-///
-/// # Panics
-///
-/// Panics if the graph is empty.
-#[expect(clippy::too_many_arguments, reason = "explicit-knob variant of broadcast_single_with")]
-pub fn broadcast_single_faulted(
-    graph: &Graph,
-    source: NodeId,
-    payload: u64,
-    params: &Params,
-    seed: u64,
-    mode: CollisionMode,
-    pacing: Pacing,
-    faults: &FaultPlan,
-) -> Ghk1Outcome {
-    broadcast_single_on(graph.clone(), source, payload, params, seed, mode, pacing, faults)
-}
-
-/// The fully generic Theorem 1.1 entry point: runs the pipeline over any
-/// [`Topology`] — a materialized [`Graph`], a shared `Arc<Graph>` (no CSR
-/// clone per run), or a streamed
-/// [`ImplicitGraph`](radio_sim::ImplicitGraph), whose million-node runs
-/// never materialize `O(m)` adjacency. All other single-message entry points
-/// collapse onto this one.
-///
-/// The run — trace, statistics, RNG streams, completion round — depends only
-/// on the neighborhoods the topology reports, so a streamed run is
-/// bit-identical to the same run over its materialization
-/// (`tests/streamed_topology.rs` pins this).
+/// `tests/determinism.rs` pins the full trace equality. Fault randomness
+/// lives on its own seed streams, so [`FaultPlan::none`] is bit-identical to
+/// a fault-free run; the diameter-derived plan is computed from the
+/// *initial* topology (the adversary does not get to re-negotiate the round
+/// budget).
 ///
 /// # Panics
 ///
 /// Panics if the topology is empty, or if `faults` enables churn/mobility
 /// over a topology that is not a materialized `Graph` (those fault classes
 /// rewrite the topology; see [`Simulator::new_with_faults`]).
-#[expect(clippy::too_many_arguments, reason = "explicit-knob variant of broadcast_single_with")]
+#[expect(clippy::too_many_arguments, reason = "one explicit argument per run knob")]
 pub fn broadcast_single_on<T: Topology>(
     topology: T,
     source: NodeId,
@@ -1324,34 +1210,38 @@ pub fn broadcast_single_on<T: Topology>(
     Driver { pump, plan }.run()
 }
 
-/// Runs Theorem 1.1 end to end on `graph` from `source` (with collision
-/// detection, as the theorem requires).
-///
-/// Thin wrapper over [`broadcast_single_with`]; prefer the
-/// [`crate::run::Scenario`] facade for end-to-end experiments.
-///
-/// # Panics
-///
-/// Panics if the graph is empty.
-pub fn broadcast_single(
-    graph: &Graph,
-    source: NodeId,
-    payload: u64,
-    params: &Params,
-    seed: u64,
-) -> Ghk1Outcome {
-    broadcast_single_in_mode(graph, source, payload, params, seed, CollisionMode::Detection)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{Scenario, TopologySpec, Workload};
     use radio_sim::graph::generators;
     use radio_sim::rng::stream_rng;
+    use radio_sim::Graph;
+
+    /// A clean Theorem 1.1 run from node 0 under `mode`.
+    fn single(
+        g: &Graph,
+        payload: u64,
+        params: &Params,
+        seed: u64,
+        mode: CollisionMode,
+    ) -> Ghk1Outcome {
+        let faults = FaultPlan::none();
+        broadcast_single_on(
+            g.clone(),
+            NodeId::new(0),
+            payload,
+            params,
+            seed,
+            mode,
+            Pacing::Segment,
+            &faults,
+        )
+    }
 
     fn check_completes(g: Graph, seed: u64) -> Ghk1Outcome {
         let params = Params::scaled(g.node_count());
-        let out = broadcast_single(&g, NodeId::new(0), 0xDADA, &params, seed);
+        let out = single(&g, 0xDADA, &params, seed, CollisionMode::Detection);
         let done = out.completion_round.unwrap_or_else(|| {
             panic!(
                 "broadcast did not complete within {} rounds (plan {:?})",
@@ -1402,7 +1292,7 @@ mod tests {
         let g = generators::cluster_chain(8, 4);
         let mut params = Params::scaled(32);
         params.ring_width = Some(4);
-        let out = broadcast_single(&g, NodeId::new(0), 99, &params, 6);
+        let out = single(&g, 99, &params, 6, CollisionMode::Detection);
         assert!(out.plan.ring_count > 1, "expected multiple rings");
         assert!(
             out.completion_round.is_some(),
@@ -1452,7 +1342,10 @@ mod tests {
     fn single_node_graph_trivially_done() {
         let g = Graph::from_edges(1, []).unwrap();
         let params = Params::scaled(1);
-        let out = broadcast_single(&g, NodeId::new(0), 1, &params, 0);
+        let out = Scenario::new(TopologySpec::custom(g), Workload::Single { payload: 1 })
+            .params(params)
+            .seed(0)
+            .run();
         assert_eq!(out.completion_round, Some(0));
     }
 
@@ -1462,8 +1355,7 @@ mod tests {
         // out gracefully.
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
         let params = Params::scaled(4);
-        let out =
-            broadcast_single_in_mode(&g, NodeId::new(0), 1, &params, 0, CollisionMode::NoDetection);
+        let out = single(&g, 1, &params, 0, CollisionMode::NoDetection);
         assert!(out.completion_round.is_none());
         assert!(out.phases.total() <= out.plan.total_rounds());
     }

@@ -207,10 +207,12 @@ fn parse_scenario(value: &Json, id: u64) -> Result<Scenario, RequestError> {
         value.get("workload").ok_or_else(|| RequestError::bad(Some(id), "missing 'workload'"))?,
         id,
     )?;
+    let nodes = node_count(&topology);
     let mut scenario = Scenario::new(topology, workload);
     if let Some(source) = value.get("source") {
-        let source =
-            source.as_u64().ok_or_else(|| RequestError::bad(Some(id), "'source' must be u64"))?;
+        let source = source.as_u64().filter(|s| *s < nodes as u64).ok_or_else(|| {
+            RequestError::bad(Some(id), format!("'source' must be u64 < {nodes}"))
+        })?;
         scenario = scenario.source(NodeId::new(source as usize));
     }
     if let Some(cap) = value.get("round_cap") {
@@ -241,22 +243,43 @@ fn parse_scenario(value: &Json, id: u64) -> Result<Scenario, RequestError> {
     Ok(scenario)
 }
 
+/// The node count of a parsed spec, for the `source` range check.
+fn node_count(spec: &TopologySpec) -> usize {
+    match *spec {
+        TopologySpec::Path { n }
+        | TopologySpec::Star { n }
+        | TopologySpec::BinaryTree { n }
+        | TopologySpec::UnitDisk { n, .. }
+        | TopologySpec::Gnp { n, .. }
+        | TopologySpec::StreamedUnitDisk { n, .. }
+        | TopologySpec::StreamedGnp { n, .. } => n,
+        TopologySpec::Grid { w, h } | TopologySpec::StreamedGrid { w, h } => w.saturating_mul(h),
+        TopologySpec::ClusterChain { clusters, size } => clusters.saturating_mul(size),
+        TopologySpec::Custom(ref g) => g.node_count(),
+    }
+}
+
 /// Decodes the topology spec. Every declarative family the facade offers is
 /// reachable over the wire; only `custom` (a pre-built in-memory graph) is
-/// inherently not.
+/// inherently not. Sizes, radii and edge probabilities are range-checked
+/// here, so a spec that parses always builds.
 fn parse_topology(value: &Json, id: u64) -> Result<TopologySpec, RequestError> {
     let kind = value
         .get("kind")
         .and_then(Json::as_str)
         .ok_or_else(|| RequestError::bad(Some(id), "topology needs a string 'kind'"))?;
+    // Every family needs at least one node; a star needs its hub and a leaf.
+    let min = if kind == "star" { 2 } else { 1 };
     let need = |key: &str| {
-        value.get(key).and_then(Json::as_u64).map(|v| v as usize).ok_or_else(|| {
-            RequestError::bad(Some(id), format!("topology '{kind}' needs u64 '{key}'"))
-        })
+        value.get(key).and_then(Json::as_u64).filter(|v| *v >= min).map(|v| v as usize).ok_or_else(
+            || RequestError::bad(Some(id), format!("topology '{kind}' needs u64 '{key}' >= {min}")),
+        )
     };
     let need_f = |key: &str| {
-        value.get(key).and_then(Json::as_f64).ok_or_else(|| {
-            RequestError::bad(Some(id), format!("topology '{kind}' needs number '{key}'"))
+        let valid = |x: &f64| if key == "p" { (0.0..=1.0).contains(x) } else { *x > 0.0 };
+        let range = if key == "p" { "in [0, 1]" } else { "> 0" };
+        value.get(key).and_then(Json::as_f64).filter(valid).ok_or_else(|| {
+            RequestError::bad(Some(id), format!("topology '{kind}' needs number '{key}' {range}"))
         })
     };
     let need_seed = |key: &str| {
@@ -323,7 +346,10 @@ fn parse_workload(value: &Json, id: u64) -> Result<Workload, RequestError> {
             Workload::Baseline(Algo::MmvDecay { payload: payload()?, noise })
         }
         "multi_unknown" => {
-            let bits = value.get("bits").and_then(Json::as_u64).unwrap_or(32) as usize;
+            let bits = value.get("bits").and_then(Json::as_u64).unwrap_or(32);
+            if !(1..=64).contains(&bits) {
+                return Err(RequestError::bad(Some(id), "'bits' must be in 1..=64"));
+            }
             let messages = value
                 .get("messages")
                 .and_then(Json::as_arr)
@@ -332,9 +358,15 @@ fn parse_workload(value: &Json, id: u64) -> Result<Workload, RequestError> {
                 })?
                 .iter()
                 .map(|m| {
-                    m.as_u64().map(|v| BitVec::from_u64(v, bits)).ok_or_else(|| {
-                        RequestError::bad(Some(id), "'messages' entries must be u64")
-                    })
+                    m.as_u64()
+                        .filter(|v| bits == 64 || v >> bits == 0)
+                        .map(|v| BitVec::from_u64(v, bits as usize))
+                        .ok_or_else(|| {
+                            RequestError::bad(
+                                Some(id),
+                                format!("'messages' entries must be u64 that fit in {bits} bits"),
+                            )
+                        })
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             if messages.is_empty() {
@@ -529,6 +561,54 @@ mod tests {
         let label = product.scenario_list()[0].label();
         assert!(label.contains("erase(0.2)"), "label: {label}");
         assert!(label.contains("jam("), "label: {label}");
+    }
+
+    #[test]
+    fn out_of_range_values_are_bad_requests() {
+        let submit = |scenario: &str| {
+            format!(r#"{{"type":"submit_sweep","id":4,"scenario":{scenario},"seeds":[0]}}"#)
+        };
+        let single = r#""workload":{"kind":"single","payload":1}"#;
+        for scenario in [
+            format!(r#"{{"topology":{{"kind":"path","n":4}},{single},"source":99}}"#),
+            format!(r#"{{"topology":{{"kind":"grid","w":2,"h":2}},{single},"source":4}}"#),
+            format!(r#"{{"topology":{{"kind":"path","n":0}},{single}}}"#),
+            format!(r#"{{"topology":{{"kind":"cluster_chain","clusters":3,"size":0}},{single}}}"#),
+            format!(r#"{{"topology":{{"kind":"star","n":1}},{single}}}"#),
+            format!(
+                r#"{{"topology":{{"kind":"unit_disk","n":9,"radius":0,"graph_seed":1}},{single}}}"#
+            ),
+            format!(
+                r#"{{"topology":{{"kind":"streamed_gnp","n":9,"p":1.5,"graph_seed":1}},{single}}}"#
+            ),
+            r#"{"topology":{"kind":"path","n":4},
+                "workload":{"kind":"multi_unknown","messages":[1],"bits":0}}"#
+                .to_string(),
+            r#"{"topology":{"kind":"path","n":4},
+                "workload":{"kind":"multi_unknown","messages":[1],"bits":65}}"#
+                .to_string(),
+            r#"{"topology":{"kind":"path","n":4},
+                "workload":{"kind":"multi_unknown","messages":[1,256],"bits":8}}"#
+                .to_string(),
+        ] {
+            let line = submit(&scenario).replace('\n', " ");
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!((err.code, err.id), ("bad_request", Some(4)), "{line}: {}", err.text);
+        }
+        // The boundaries themselves are accepted.
+        for scenario in [
+            format!(r#"{{"topology":{{"kind":"path","n":4}},{single},"source":3}}"#),
+            format!(r#"{{"topology":{{"kind":"path","n":1}},{single}}}"#),
+            r#"{"topology":{"kind":"path","n":4},
+                "workload":{"kind":"multi_unknown","messages":[255],"bits":8}}"#
+                .to_string(),
+            r#"{"topology":{"kind":"path","n":4},
+                "workload":{"kind":"multi_unknown","messages":[1],"bits":64}}"#
+                .to_string(),
+        ] {
+            let line = submit(&scenario).replace('\n', " ");
+            assert!(parse_request(&line).is_ok(), "{line}");
+        }
     }
 
     #[test]

@@ -224,6 +224,38 @@ fn bad_requests_are_typed_and_survivable() {
     session.recv_until("sweep_done");
 }
 
+/// Out-of-range values that would panic a worker or the parse thread (a
+/// source past the last node, a zero-bit message width, an empty topology)
+/// are typed `bad_request` errors, and the loop keeps serving.
+#[test]
+fn out_of_range_values_are_typed_and_survivable() {
+    let session = Session::start(SweepPool::new().workers(1));
+    for (id, scenario) in [
+        (
+            11,
+            r#"{"topology":{"kind":"path","n":4},"workload":{"kind":"single","payload":1},"source":99}"#,
+        ),
+        (
+            12,
+            r#"{"topology":{"kind":"path","n":4},"workload":{"kind":"multi_unknown","messages":[1],"bits":0}}"#,
+        ),
+        (13, r#"{"topology":{"kind":"path","n":0},"workload":{"kind":"single","payload":1}}"#),
+    ] {
+        session.send(&format!(
+            r#"{{"type":"submit_sweep","id":{id},"scenario":{scenario},"seeds":[0]}}"#
+        ));
+        let err = session.recv();
+        assert_eq!(kind(&err), "error", "id {id}: {err}");
+        assert_eq!(err.get("code").and_then(Json::as_str), Some("bad_request"), "id {id}");
+        assert_eq!(err.get("id").and_then(Json::as_u64), Some(id));
+    }
+
+    session.send(TINY_SUBMIT);
+    assert_eq!(kind(&session.recv()), "submit_ok");
+    let (done, _) = session.recv_until("sweep_done");
+    assert_eq!(done.get("completed").and_then(Json::as_u64), Some(6));
+}
+
 /// Cancelling a running sweep drains it cleanly: cancel_ok answers, the
 /// stream stops early, and sweep_done reports `cancelled: true` with
 /// exactly as many completions as outcome lines were streamed.

@@ -9,8 +9,9 @@
 //!
 //! The script exercises the whole request surface: a corridor bake-off
 //! sweep, a status probe, a deliberately malformed line (the server must
-//! answer a typed error and keep serving), a results fetch for the
-//! finished sweep, and a submit for an unsupported workload.
+//! answer a typed error and keep serving), a submit whose source is past
+//! the last node (a typed `bad_request`, not a worker panic), and a submit
+//! for an unsupported workload.
 
 use mini_json::Json;
 use std::io::BufReader;
@@ -24,6 +25,8 @@ fn main() {
         r#"{"type":"status","id":2,"sweep":1}"#,
         // A line a buggy client might send: typed error, loop survives.
         r#"{"type":"submit_sweep","id":3,"scenario":{"#,
+        // An out-of-range source: rejected at parse time, loop survives.
+        r#"{"type":"submit_sweep","id":5,"scenario":{"topology":{"kind":"path","n":4},"workload":{"kind":"single","payload":1},"source":99},"seeds":[0]}"#,
         // multi_known is deliberately not servable.
         r#"{"type":"submit_sweep","id":4,"scenario":{"topology":{"kind":"path","n":4},"workload":{"kind":"multi_known"}},"seeds":[0]}"#,
     ];
@@ -93,6 +96,12 @@ fn main() {
         .collect();
     assert!(errors.contains(&"malformed_json".to_string()), "errors: {errors:?}");
     assert!(errors.contains(&"unsupported".to_string()), "errors: {errors:?}");
+    let bad_source = responses.iter().find(|r| r.get("id").and_then(Json::as_u64) == Some(5));
+    assert_eq!(
+        bad_source.and_then(|r| r.get("code")).and_then(Json::as_str),
+        Some("bad_request"),
+        "the out-of-range source must get a typed bad_request"
+    );
 
     println!("--- ok: {} responses, 1 sweep drained, errors typed ---", responses.len());
 }

@@ -5,16 +5,28 @@
 use broadcast::adaptive::Pacing;
 use broadcast::decay::{DecayBroadcast, DecayMsg, MmvDecayBroadcast};
 use broadcast::multi_message::{
-    broadcast_known, broadcast_unknown, broadcast_unknown_faulted, broadcast_unknown_with,
-    BatchMode, GhkMultiNode, GhkMultiPlan, KnownRunOpts, MultiRunOpts,
-};
-use broadcast::single_message::{
-    broadcast_single, broadcast_single_faulted, broadcast_single_in_mode, broadcast_single_with,
+    broadcast_known, broadcast_unknown_on, BatchMode, KnownRunOpts, MultiRunOpts,
 };
 use broadcast::{Params, Scenario, TopologySpec, Workload};
 use radio_sim::graph::{generators, Traversal};
-use radio_sim::{CollisionMode, DenseWrap, FaultPlan, NodeId, Protocol, RunStats, Simulator};
+use radio_sim::{
+    CollisionMode, DenseWrap, FaultPlan, Graph, NodeId, Protocol, RunStats, Simulator,
+};
 use rlnc::gf2::BitVec;
+
+/// Theorem 1.1 from node 0 on `g` through the facade, under the workload's
+/// default mode and pacing until overridden.
+fn single(g: &Graph, params: &Params, payload: u64, seed: u64) -> Scenario {
+    Scenario::new(TopologySpec::custom(g.clone()), Workload::Single { payload })
+        .params(params.clone())
+        .seed(seed)
+}
+
+/// Theorem 1.3 (one full-`k` batch) from node 0 on `g` through the facade.
+fn unknown(g: &Graph, params: &Params, msgs: &[BitVec], seed: u64) -> Scenario {
+    let workload = Workload::MultiUnknown { messages: msgs.to_vec(), batch: BatchMode::FullK };
+    Scenario::new(TopologySpec::custom(g.clone()), workload).params(params.clone()).seed(seed)
+}
 
 /// Runs `make`'s protocol through both engine paths (wake-list vs dense
 /// sweep) for `rounds`, returning the per-node extracts and channel stats of
@@ -100,41 +112,6 @@ fn mmv_decay_wake_list_equals_dense_across_modes_and_seeds() {
 }
 
 #[test]
-fn multi_fixed_wake_list_equals_dense_across_modes_and_seeds() {
-    // The full fixed-plan Theorem 1.3 node (wave + construction + labeling +
-    // windows + FEC handoffs) through both engine paths. NoDetection jams
-    // the wave — the trace must still replay identically.
-    let g = generators::cluster_chain(4, 4);
-    let params = Params::scaled(g.node_count());
-    let msgs: Vec<BitVec> = (0..3u64).map(|i| BitVec::from_u64(i * 9 + 1, 16)).collect();
-    let d = g.bfs(NodeId::new(0)).max_level();
-    let plan = GhkMultiPlan::new(&params, d, 3, BatchMode::FullK);
-    for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
-        for seed in 0..3u64 {
-            let ((wn, ws), (dn, ds)) = both_paths(
-                &g,
-                mode,
-                seed,
-                plan.fixed_rounds() + 1,
-                |id| {
-                    GhkMultiNode::new(
-                        &params,
-                        plan,
-                        id.raw(),
-                        16,
-                        (id.index() == 0).then(|| msgs.clone()),
-                    )
-                },
-                GhkMultiNode::messages,
-            );
-            assert_eq!(wn, dn, "decoded payloads diverged ({mode:?}, seed {seed})");
-            assert_eq!(semantic(&ws), semantic(&ds), "stats diverged ({mode:?}, seed {seed})");
-            assert!(ws.act_skips > 0, "wake path never skipped ({mode:?}, seed {seed})");
-        }
-    }
-}
-
-#[test]
 fn unknown_topology_adaptive_full_trace_deterministic() {
     // The adaptive driver's phase decisions feed off channel-level
     // quiescence, so completion, phase accounting and the full RunStats must
@@ -143,8 +120,8 @@ fn unknown_topology_adaptive_full_trace_deterministic() {
     let params = Params::scaled(20);
     let msgs: Vec<BitVec> = (0..3u64).map(|i| BitVec::from_u64(i, 16)).collect();
     for seed in 0..4u64 {
-        let a = broadcast_unknown(&g, NodeId::new(0), &msgs, &params, seed, BatchMode::FullK);
-        let b = broadcast_unknown(&g, NodeId::new(0), &msgs, &params, seed, BatchMode::FullK);
+        let a = unknown(&g, &params, &msgs, seed).run();
+        let b = unknown(&g, &params, &msgs, seed).run();
         assert_eq!(a.completion_round, b.completion_round, "completion diverged (seed {seed})");
         assert_eq!(a.stats, b.stats, "RunStats diverged (seed {seed})");
         assert_eq!(a.phases, b.phases, "phase accounting diverged (seed {seed})");
@@ -170,9 +147,9 @@ fn single_segment_pacing_equals_per_step_across_modes_and_seeds() {
     for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
         for seed in 0..4u64 {
             let seg =
-                broadcast_single_with(&g, NodeId::new(0), 9, &params, seed, mode, Pacing::Segment);
+                single(&g, &params, 9, seed).collision_mode(mode).pacing(Pacing::Segment).run();
             let step =
-                broadcast_single_with(&g, NodeId::new(0), 9, &params, seed, mode, Pacing::PerStep);
+                single(&g, &params, 9, seed).collision_mode(mode).pacing(Pacing::PerStep).run();
             assert_eq!(
                 seg.completion_round, step.completion_round,
                 "completion diverged ({mode:?}, seed {seed})"
@@ -204,14 +181,23 @@ fn multi_segment_pacing_equals_per_step_across_modes_and_seeds() {
     for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
         for seed in 0..4u64 {
             let opts = MultiRunOpts::new(BatchMode::FullK).with_mode(mode);
-            let seg = broadcast_unknown_with(&g, NodeId::new(0), &msgs, &params, seed, opts);
-            let step = broadcast_unknown_with(
-                &g,
+            let seg = broadcast_unknown_on(
+                g.clone(),
+                NodeId::new(0),
+                &msgs,
+                &params,
+                seed,
+                opts,
+                &FaultPlan::none(),
+            );
+            let step = broadcast_unknown_on(
+                g.clone(),
                 NodeId::new(0),
                 &msgs,
                 &params,
                 seed,
                 opts.with_pacing(Pacing::PerStep),
+                &FaultPlan::none(),
             );
             assert_eq!(
                 seg.completion_round, step.completion_round,
@@ -302,18 +288,7 @@ fn single_recovery_segment_pacing_equals_per_step() {
     let plan = FaultPlan::none().with_jammer(5, 3, 1).with_erasure(0.15);
     let mut recovery_fired = false;
     for seed in 0..4u64 {
-        let run = |pacing| {
-            broadcast_single_faulted(
-                &g,
-                NodeId::new(0),
-                9,
-                &params,
-                seed,
-                CollisionMode::Detection,
-                pacing,
-                &plan,
-            )
-        };
+        let run = |pacing| single(&g, &params, 9, seed).pacing(pacing).faults(plan.clone()).run();
         let (seg, step) = (run(Pacing::Segment), run(Pacing::PerStep));
         assert_eq!(
             seg.completion_round, step.completion_round,
@@ -360,8 +335,8 @@ fn multi_recovery_segment_pacing_equals_per_step() {
     let mut recovery_fired = false;
     for seed in 0..4u64 {
         let run = |pacing| {
-            broadcast_unknown_faulted(
-                &g,
+            broadcast_unknown_on(
+                g.clone(),
                 NodeId::new(0),
                 &msgs,
                 &params,
@@ -395,9 +370,9 @@ fn multi_recovery_segment_pacing_equals_per_step() {
 fn single_message_deterministic() {
     let g = generators::cluster_chain(4, 5);
     let params = Params::scaled(20);
-    let a = broadcast_single(&g, NodeId::new(0), 5, &params, 42).completion_round;
-    let b = broadcast_single(&g, NodeId::new(0), 5, &params, 42).completion_round;
-    let c = broadcast_single(&g, NodeId::new(0), 5, &params, 43).completion_round;
+    let a = single(&g, &params, 5, 42).run().completion_round;
+    let b = single(&g, &params, 5, 42).run().completion_round;
+    let c = single(&g, &params, 5, 43).run().completion_round;
     assert_eq!(a, b);
     assert!(a.is_some() && c.is_some());
 }
@@ -413,8 +388,8 @@ fn single_message_deterministic_across_modes_and_seeds() {
     let params = Params::scaled(20);
     for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
         for seed in 0..8u64 {
-            let a = broadcast_single_in_mode(&g, NodeId::new(0), 9, &params, seed, mode);
-            let b = broadcast_single_in_mode(&g, NodeId::new(0), 9, &params, seed, mode);
+            let a = single(&g, &params, 9, seed).collision_mode(mode).run();
+            let b = single(&g, &params, 9, seed).collision_mode(mode).run();
             assert_eq!(
                 a.completion_round, b.completion_round,
                 "completion diverged ({mode:?}, seed {seed})"
@@ -434,9 +409,7 @@ fn single_message_seeds_differ_somewhere() {
     // streams are split per node, so this guards against seed plumbing bugs).
     let g = generators::cluster_chain(4, 5);
     let params = Params::scaled(20);
-    let traces: Vec<_> = (0..8u64)
-        .map(|seed| broadcast_single(&g, NodeId::new(0), 9, &params, seed).stats)
-        .collect();
+    let traces: Vec<_> = (0..8u64).map(|seed| single(&g, &params, 9, seed).run().stats).collect();
     assert!(traces.windows(2).any(|w| w[0] != w[1]), "all 8 seeds produced identical traces");
 }
 
@@ -453,6 +426,7 @@ fn known_topology_deterministic() {
             &params,
             seed,
             KnownRunOpts::new().with_max_rounds(500_000),
+            &FaultPlan::none(),
         )
         .completion_round
     };
@@ -464,9 +438,6 @@ fn unknown_topology_deterministic() {
     let g = generators::grid(4, 4);
     let params = Params::scaled(16);
     let msgs: Vec<BitVec> = (0..3u64).map(|i| BitVec::from_u64(i, 16)).collect();
-    let run = |seed| {
-        broadcast_unknown(&g, NodeId::new(0), &msgs, &params, seed, BatchMode::FullK)
-            .completion_round
-    };
+    let run = |seed| unknown(&g, &params, &msgs, seed).run().completion_round;
     assert_eq!(run(9), run(9));
 }

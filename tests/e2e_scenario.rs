@@ -1,17 +1,17 @@
 //! The `Scenario` facade: cap compliance across a topology × workload × seed
-//! matrix, and bit-identity against the legacy free functions on both
+//! matrix, and bit-identity against the per-theorem entry points on both
 //! collision modes (the facade is a front door, not a different run —
 //! including the emergency-alert corridor staying at exactly 677 rounds).
 
 use broadcast::decay::{DecayBroadcast, DecayMsg};
 use broadcast::multi_message::{
-    broadcast_known, broadcast_unknown_with, BatchMode, KnownRunOpts, MultiRunOpts,
+    broadcast_known, broadcast_unknown_on, BatchMode, KnownRunOpts, MultiRunOpts,
 };
-use broadcast::single_message::broadcast_single_with;
+use broadcast::single_message::broadcast_single_on;
 use broadcast::{
     Algo, Detail, EmptyBehavior, Pacing, Params, Scenario, SlowKey, TopologySpec, Workload,
 };
-use radio_sim::{CollisionMode, DoneCheck, NodeId, Simulator};
+use radio_sim::{CollisionMode, DoneCheck, FaultPlan, NodeId, Simulator};
 use rlnc::gf2::BitVec;
 
 fn payloads(k: usize) -> Vec<BitVec> {
@@ -81,8 +81,16 @@ fn single_matches_legacy_on_both_modes() {
     let params = Params::scaled(g.node_count());
     for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
         for seed in [0u64, 3] {
-            let legacy =
-                broadcast_single_with(&g, NodeId::new(0), 9, &params, seed, mode, Pacing::Segment);
+            let legacy = broadcast_single_on(
+                g.clone(),
+                NodeId::new(0),
+                9,
+                &params,
+                seed,
+                mode,
+                Pacing::Segment,
+                &FaultPlan::none(),
+            );
             let facade = Scenario::new(spec.clone(), Workload::Single { payload: 9 })
                 .collision_mode(mode)
                 .seed(seed)
@@ -113,13 +121,14 @@ fn multi_unknown_matches_legacy_on_both_modes() {
     let msgs = payloads(3);
     for mode in [CollisionMode::Detection, CollisionMode::NoDetection] {
         for seed in [1u64, 4] {
-            let legacy = broadcast_unknown_with(
-                &g,
+            let legacy = broadcast_unknown_on(
+                g.clone(),
                 NodeId::new(0),
                 &msgs,
                 &params,
                 seed,
                 MultiRunOpts::new(BatchMode::FullK).with_mode(mode),
+                &FaultPlan::none(),
             );
             let facade = Scenario::new(
                 spec.clone(),
@@ -155,6 +164,7 @@ fn multi_known_matches_legacy_on_both_modes() {
                 &params,
                 seed,
                 KnownRunOpts::new().with_mode(mode),
+                &FaultPlan::none(),
             );
             let facade = Scenario::new(
                 spec.clone(),
