@@ -1,8 +1,11 @@
-//! Micro-benchmarks: GF(2) kernels and simulator round throughput.
+//! Micro-benchmarks: GF(2) kernels, simulator round throughput and streamed
+//! unit-disk neighborhood generation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use radio_sim::graph::generators;
-use radio_sim::{Action, CollisionMode, Observation, Protocol, Simulator};
+use radio_sim::{
+    Action, CollisionMode, ImplicitGraph, NodeId, Observation, Protocol, Simulator, Topology,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rlnc::gf2::{BitMatrix, BitVec};
@@ -66,12 +69,25 @@ fn engine_benches(c: &mut Criterion) {
     });
 }
 
+fn graph_benches(c: &mut Criterion) {
+    // The perfbench disk workload's graph (mean degree ~408). Its 1,024
+    // cache slots are direct-mapped by id, so an ascending sweep over all
+    // nodes evicts every slot before it is reused: every call is a miss.
+    let n = 10_000;
+    let disk = ImplicitGraph::unit_disk(n, 0.12, 2026);
+    c.bench_function("implicit_disk_neighborhoods_10k", |bench| {
+        bench.iter(|| {
+            (0..n).map(|v| disk.with_neighbors(NodeId::new(v), <[NodeId]>::len)).sum::<usize>()
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = gf2_benches, engine_benches
+    targets = gf2_benches, engine_benches, graph_benches
 }
 criterion_main!(benches);

@@ -20,6 +20,15 @@
 //! by an independent (brute-force) construction, which the property suite
 //! uses to verify streamed-vs-materialized neighborhood identity. The Grid
 //! family *is* edge-identical to [`generators::grid`](super::generators::grid).
+//!
+//! A UnitDisk query that misses the cache buckets positions into cells of
+//! side at least `radius / 2` and scans the 5×5 block around the node,
+//! skipping every cell whose nearest point is provably out of range. Each
+//! candidate is written to a scratch buffer and kept by a branchless length
+//! bump; an LSD radix sort on 8-bit id digits then writes the kept ids
+//! ascending into the slot, so the sorted-neighborhood contract of
+//! [`Topology`] costs no comparison sort. [`ImplicitGraph::cache_stats`]
+//! counts cache hits and misses.
 
 use super::topology::Topology;
 use super::{generators, Graph};
@@ -57,9 +66,11 @@ enum Family {
 }
 
 /// CSR bucketing of node ids per spatial cell (UnitDisk only): `O(n)` ids
-/// plus one offset per cell, and the hashed positions themselves so a
-/// 9-cell scan reads two floats per candidate instead of re-deriving two
-/// SplitMix64 words. Positions stay `f64`: [`ImplicitGraph::materialize`]
+/// plus one offset per cell, and the hashed positions themselves (in id
+/// order) so a scan of the 5×5 block of half-radius cells reads two floats
+/// per candidate instead of re-deriving two SplitMix64 words. Consecutive
+/// cells of a row are consecutive in `nodes`, so each block row is one
+/// contiguous id range. Positions stay `f64`: [`ImplicitGraph::materialize`]
 /// brute-forces the same `f64` coordinates, and streamed-vs-materialized
 /// identity is bit-exact only if both sides compare identical floats.
 #[derive(Clone, Debug)]
@@ -77,6 +88,34 @@ struct Slot {
     nbrs: Vec<NodeId>,
 }
 
+/// Neighborhood-cache counters of an [`ImplicitGraph`]: every
+/// [`Topology::with_neighbors`] call is exactly one hit or one miss.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Calls served from a slot that already held the node's neighborhood.
+    pub hits: u64,
+    /// Calls that recomputed the neighborhood into the node's slot.
+    pub misses: u64,
+}
+
+/// Everything a query mutates, behind the graph's one `RefCell`: the
+/// direct-mapped slots, the unit-disk scan buffers a miss reuses, and the
+/// hit/miss counters.
+#[derive(Clone, Debug)]
+struct Cache {
+    slots: Vec<Slot>,
+    /// Unit-disk candidates, compacted in place to the kept ids.
+    scan: Vec<u32>,
+    /// Ping-pong buffer of every radix pass but the last.
+    spare: Vec<u32>,
+    stats: CacheStats,
+}
+
+/// Absolute slack (in unit-square coordinates) taken off every cell gap
+/// before a cell is skipped: far above the rounding error of the cell
+/// bounds, so a skipped cell provably holds no point within the radius.
+const CELL_SKIP_SLACK: f64 = 1e-9;
+
 /// A streamed topology: Grid, UnitDisk or Gnp neighborhoods computed on
 /// demand, with a small direct-mapped cache for hot (frontier) nodes.
 ///
@@ -87,7 +126,7 @@ struct Slot {
 pub struct ImplicitGraph {
     n: usize,
     family: Family,
-    cache: RefCell<Vec<Slot>>,
+    cache: RefCell<Cache>,
 }
 
 /// Maps a SplitMix64 word to `[0, 1)` with 53 bits of precision.
@@ -123,8 +162,10 @@ impl ImplicitGraph {
     /// Streamed hashed unit-disk deployment: `n` SplitMix64-hashed positions
     /// in the unit square, an edge whenever two are within `radius`.
     ///
-    /// Builds the spatial bucket index (`O(n)` ids, one offset per cell) so
-    /// a neighborhood query scans 9 cells instead of all nodes. Unlike
+    /// Builds the spatial bucket index (`O(n)` ids, one offset per cell) on
+    /// cells of side at least `radius / 2`, so a neighborhood query scans
+    /// at most a 5×5 block of cells (minus those provably out of range)
+    /// instead of all nodes. Unlike
     /// [`generators::unit_disk`] no connectivity stitching is applied — pick
     /// a radius above the connectivity threshold for broadcast workloads.
     ///
@@ -134,10 +175,10 @@ impl ImplicitGraph {
     pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Self {
         assert!(n >= 1, "unit-disk graph requires at least one node");
         assert!(radius > 0.0, "radius must be positive");
-        // Cell side >= radius keeps the 3x3 scan sound; capping the axis at
-        // ~sqrt(n) bounds the index at O(n) cells for tiny radii.
+        // Cell side >= radius / 2 keeps the 5x5 scan sound; capping the axis
+        // at ~sqrt(n) bounds the index at O(n) cells for tiny radii.
         let max_axis = (n as f64).sqrt().ceil() as usize + 1;
-        let cells_per_axis = ((1.0 / radius) as usize).clamp(1, max_axis);
+        let cells_per_axis = ((2.0 / radius) as usize).clamp(1, max_axis);
         let cell_of = |x: f64, y: f64| -> usize {
             let cx = ((x * cells_per_axis as f64) as usize).min(cells_per_axis - 1);
             let cy = ((y * cells_per_axis as f64) as usize).min(cells_per_axis - 1);
@@ -190,12 +231,27 @@ impl ImplicitGraph {
             }
         };
         let slots = scaled.min(n.next_power_of_two());
-        let cache = (0..slots).map(|_| Slot { key: u32::MAX, nbrs: Vec::new() }).collect();
+        let slots = (0..slots).map(|_| Slot { key: u32::MAX, nbrs: Vec::new() }).collect();
+        let cache =
+            Cache { slots, scan: Vec::new(), spare: Vec::new(), stats: CacheStats::default() };
         ImplicitGraph { n, family, cache: RefCell::new(cache) }
     }
 
-    /// Computes the sorted neighborhood of `v` into `out` (no cache).
-    fn compute_into(&self, v: u32, out: &mut Vec<NodeId>) {
+    /// Hit/miss counts of the neighborhood cache since construction (a clone
+    /// carries on from the counts of the graph it was cloned from).
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.borrow().stats
+    }
+
+    /// Computes the sorted neighborhood of `v` into `out` (no cache);
+    /// `scan` and `spare` are reusable unit-disk work buffers.
+    fn compute_into(
+        &self,
+        v: u32,
+        out: &mut Vec<NodeId>,
+        scan: &mut Vec<u32>,
+        spare: &mut Vec<u32>,
+    ) {
         out.clear();
         match &self.family {
             Family::Grid { w, h } => {
@@ -220,24 +276,40 @@ impl ImplicitGraph {
                 let cx = ((x * cpa as f64) as usize).min(cpa - 1);
                 let cy = ((y * cpa as f64) as usize).min(cpa - 1);
                 let r2 = radius * radius;
-                for dy in cy.saturating_sub(1)..=(cy + 1).min(cpa - 1) {
-                    for dx in cx.saturating_sub(1)..=(cx + 1).min(cpa - 1) {
-                        let c = dy * cpa + dx;
-                        let lo = index.offsets[c] as usize;
-                        let hi = index.offsets[c + 1] as usize;
-                        for &j in &index.nodes[lo..hi] {
-                            if j == v {
-                                continue;
-                            }
-                            let (px, py) = index.positions[j as usize];
-                            let (ex, ey) = (px - x, py - y);
-                            if ex * ex + ey * ey <= r2 {
-                                out.push(NodeId(j));
-                            }
-                        }
+                // Each block row keeps the contiguous run of cells whose
+                // nearest point may lie within the radius: one id range.
+                let xs = block(cx, cpa);
+                let mut rows = [(0usize, 0usize); 5];
+                let mut total = 0;
+                for (row, cell_y) in rows.iter_mut().zip(block(cy, cpa)) {
+                    let gy = cell_gap(y, cell_y, cy, cpa);
+                    let mut kept = xs.clone().filter(|&c| {
+                        let gx = cell_gap(x, c, cx, cpa);
+                        gx * gx + gy * gy <= r2
+                    });
+                    if let Some(first) = kept.next() {
+                        let last = kept.next_back().unwrap_or(first);
+                        let lo = index.offsets[cell_y * cpa + first] as usize;
+                        let hi = index.offsets[cell_y * cpa + last + 1] as usize;
+                        *row = (lo, hi);
+                        total += hi - lo;
                     }
                 }
-                out.sort_unstable();
+                // Branchless filter: write every candidate, keep it by
+                // advancing the length only when it is in range and not v.
+                if scan.len() < total {
+                    scan.resize(total, 0);
+                }
+                let mut len = 0;
+                for &(lo, hi) in &rows {
+                    for &j in &index.nodes[lo..hi] {
+                        let (px, py) = index.positions[j as usize];
+                        let (ex, ey) = (px - x, py - y);
+                        scan[len] = j;
+                        len += usize::from((ex * ex + ey * ey <= r2) & (j != v));
+                    }
+                }
+                radix_sort_into(&mut scan[..len], spare, self.n, out);
             }
             Family::Gnp { p, seed } => {
                 for u in 0..self.n as u32 {
@@ -295,6 +367,71 @@ impl ImplicitGraph {
     }
 }
 
+/// The cells of the 5×5 scan block along one axis: `c ± 2`, clipped to
+/// the grid.
+#[inline]
+fn block(c: usize, cpa: usize) -> std::ops::RangeInclusive<usize> {
+    c.saturating_sub(2)..=(c + 2).min(cpa - 1)
+}
+
+/// Lower bound on the distance along one axis from coordinate `p` (in cell
+/// `home`) to any point of cell `cell`, less [`CELL_SKIP_SLACK`]; zero for
+/// the home cell.
+#[inline]
+fn cell_gap(p: f64, cell: usize, home: usize, cpa: usize) -> f64 {
+    let side = 1.0 / cpa as f64;
+    let gap = match cell.cmp(&home) {
+        std::cmp::Ordering::Greater => cell as f64 * side - p,
+        std::cmp::Ordering::Less => p - (cell + 1) as f64 * side,
+        std::cmp::Ordering::Equal => 0.0,
+    };
+    (gap - CELL_SKIP_SLACK).max(0.0)
+}
+
+/// Writes the distinct ids in `keys` (all below `n`) ascending into `out`
+/// by LSD radix sort on 8-bit digits: `ceil(bits(n - 1) / 8)` stable
+/// counting passes ping-pong between `keys` and `spare`, and the last pass
+/// scatters straight into `out`, sized exactly (slot buffers never keep
+/// more capacity than their largest neighborhood).
+fn radix_sort_into(keys: &mut [u32], spare: &mut Vec<u32>, n: usize, out: &mut Vec<NodeId>) {
+    let len = keys.len();
+    let bits = usize::BITS - (n - 1).leading_zeros();
+    let passes = bits.div_ceil(8).max(1);
+    if spare.len() < len {
+        spare.resize(len, 0);
+    }
+    out.clear();
+    out.reserve_exact(len);
+    out.resize(len, NodeId(0));
+    let (mut src, mut dst) = (keys, &mut spare[..len]);
+    for pass in 0..passes {
+        let shift = 8 * pass;
+        let digit = |k: u32| (k >> shift) as usize & 0xFF;
+        let mut start = [0u32; 256];
+        for &k in src.iter() {
+            start[digit(k)] += 1;
+        }
+        let mut sum = 0;
+        for s in &mut start {
+            (*s, sum) = (sum, sum + *s);
+        }
+        if pass + 1 == passes {
+            for &k in src.iter() {
+                let d = digit(k);
+                out[start[d] as usize] = NodeId(k);
+                start[d] += 1;
+            }
+        } else {
+            for &k in src.iter() {
+                let d = digit(k);
+                dst[start[d] as usize] = k;
+                start[d] += 1;
+            }
+            std::mem::swap(&mut src, &mut dst);
+        }
+    }
+}
+
 impl Topology for ImplicitGraph {
     #[inline]
     fn node_count(&self) -> usize {
@@ -307,10 +444,14 @@ impl Topology for ImplicitGraph {
     fn with_neighbors<R>(&self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
         assert!(v.index() < self.n, "node {v:?} out of bounds for {} nodes", self.n);
         let mut cache = self.cache.borrow_mut();
-        let slots = cache.len();
-        let slot = &mut cache[v.index() & (slots - 1)];
-        if slot.key != v.raw() {
-            self.compute_into(v.raw(), &mut slot.nbrs);
+        let Cache { slots, scan, spare, stats } = &mut *cache;
+        let mask = slots.len() - 1;
+        let slot = &mut slots[v.index() & mask];
+        if slot.key == v.raw() {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
+            self.compute_into(v.raw(), &mut slot.nbrs, scan, spare);
             slot.key = v.raw();
         }
         f(&slot.nbrs)
@@ -327,12 +468,14 @@ impl Topology for ImplicitGraph {
         };
         let cache = self.cache.borrow();
         let cached: usize = cache
+            .slots
             .iter()
             .map(|s| {
                 std::mem::size_of::<Slot>() + s.nbrs.capacity() * std::mem::size_of::<NodeId>()
             })
             .sum();
-        std::mem::size_of::<Self>() + index + cached
+        let scratch = (cache.scan.capacity() + cache.spare.capacity()) * std::mem::size_of::<u32>();
+        std::mem::size_of::<Self>() + index + cached + scratch
     }
 }
 
@@ -421,14 +564,101 @@ mod tests {
     }
 
     #[test]
+    fn slot_capacity_stays_within_the_sorting_scans_figure() {
+        let t = ImplicitGraph::unit_disk(10_000, 0.12, 2026);
+        for v in 0..10_000 {
+            t.with_neighbors(NodeId(v), <[NodeId]>::len);
+        }
+        // 2,346,700 B is what the 3×3 scan with `push` + `sort_unstable`
+        // reported after this same sweep: its slots kept amortized-doubling
+        // capacity. Exactly sized slots (plus the two scan buffers) must
+        // not exceed it.
+        assert!(t.resident_bytes() <= 2_346_700, "{} B", t.resident_bytes());
+    }
+
+    /// Every node's neighborhood by an `O(n)` scan over the hashed positions.
+    fn brute_force(n: usize, radius: f64, seed: u64, v: u32) -> Vec<NodeId> {
+        let (x, y) = position(seed, u64::from(v));
+        (0..n as u32)
+            .filter(|&j| {
+                let (px, py) = position(seed, u64::from(j));
+                let (ex, ey) = (px - x, py - y);
+                j != v && ex * ex + ey * ey <= radius * radius
+            })
+            .map(NodeId)
+            .collect()
+    }
+
+    #[test]
+    fn unit_disk_matches_brute_force_across_radix_passes_and_grid_shapes() {
+        // n = 300 sorts in two 8-bit passes, n = 70,000 in three; radius 2.5
+        // puts every node in one cell and the small radii clamp the axis to
+        // ~sqrt(n).
+        for (n, radius, shape) in [
+            (300, 0.15, "half-radius cells"),
+            (300, 2.5, "one cell"),
+            (300, 0.01, "clamped"),
+            (70_000, 0.01, "half-radius cells"),
+            (70_000, 2.5, "one cell"),
+            (70_000, 0.002, "clamped"),
+        ] {
+            let seed = n as u64 + 17;
+            let t = ImplicitGraph::unit_disk(n, radius, seed);
+            let Family::UnitDisk { cells_per_axis: cpa, index, .. } = &t.family else {
+                unreachable!()
+            };
+            let cpa = *cpa;
+            let max_axis = (n as f64).sqrt().ceil() as usize + 1;
+            match shape {
+                "one cell" => assert_eq!(cpa, 1),
+                "clamped" => assert_eq!(cpa, max_axis),
+                _ => assert_eq!(cpa, (2.0 / radius) as usize),
+            }
+            let border = |v: &u32| {
+                let (x, y) = index.positions[*v as usize];
+                let cell = |p: f64| ((p * cpa as f64) as usize).min(cpa - 1);
+                [cell(x), cell(y)].iter().any(|&c| c == 0 || c == cpa - 1)
+            };
+            let last = n as u32 - 1;
+            let mut sample = vec![0, last];
+            sample.extend((1..last).filter(border).take(30));
+            sample.extend((1..last).step_by(n / 32).take(32));
+            for v in sample {
+                assert_eq!(
+                    nbrs(&t, v),
+                    brute_force(n, radius, seed, v),
+                    "unit_disk({n},{radius}) [{shape}] node {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cache_stats_count_every_call_once() {
+        let t = ImplicitGraph::unit_disk(2_000, 0.05, 3);
+        assert_eq!(t.cache_stats(), CacheStats::default());
+        let queries = [5, 5, 9, 5, 5 + CACHE_SLOTS as u32, 5, 1_999, 9];
+        for v in queries {
+            t.with_neighbors(NodeId(v), <[NodeId]>::len);
+        }
+        let stats = t.cache_stats();
+        assert_eq!(stats.hits + stats.misses, queries.len() as u64);
+        // Misses: first 5, first 9, the conflicting node, 5 again, 1_999.
+        assert_eq!(stats, CacheStats { hits: 3, misses: 5 });
+    }
+
+    #[test]
     fn cache_scales_with_n_but_stays_bounded() {
         // Grids stay at the floor regardless of n; hashed families scale.
-        assert_eq!(ImplicitGraph::grid(2, 2).cache.borrow().len(), 4);
-        assert_eq!(ImplicitGraph::grid(2000, 2000).cache.borrow().len(), CACHE_SLOTS);
-        assert_eq!(ImplicitGraph::unit_disk(10_000, 0.04, 1).cache.borrow().len(), CACHE_SLOTS);
-        assert_eq!(ImplicitGraph::unit_disk(200_000, 0.01, 1).cache.borrow().len(), 16_384);
+        assert_eq!(ImplicitGraph::grid(2, 2).cache.borrow().slots.len(), 4);
+        assert_eq!(ImplicitGraph::grid(2000, 2000).cache.borrow().slots.len(), CACHE_SLOTS);
         assert_eq!(
-            ImplicitGraph::unit_disk(2_000_000, 0.01, 1).cache.borrow().len(),
+            ImplicitGraph::unit_disk(10_000, 0.04, 1).cache.borrow().slots.len(),
+            CACHE_SLOTS
+        );
+        assert_eq!(ImplicitGraph::unit_disk(200_000, 0.01, 1).cache.borrow().slots.len(), 16_384);
+        assert_eq!(
+            ImplicitGraph::unit_disk(2_000_000, 0.01, 1).cache.borrow().slots.len(),
             MAX_CACHE_SLOTS
         );
     }

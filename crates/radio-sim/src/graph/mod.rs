@@ -11,7 +11,7 @@ mod topology;
 mod traversal;
 
 pub use builder::{GraphBuilder, GraphError};
-pub use implicit::ImplicitGraph;
+pub use implicit::{CacheStats, ImplicitGraph};
 pub use topology::Topology;
 pub use traversal::{bfs_layering, BfsLayering, Traversal, UNREACHABLE};
 

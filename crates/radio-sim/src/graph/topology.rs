@@ -6,7 +6,8 @@
 //! [`ImplicitGraph`](super::ImplicitGraph) implements it by *computing* each
 //! neighborhood on demand, so million-node deployments never pay for `O(m)`
 //! adjacency storage. `Arc<Graph>` implements it too, so a facade can hand
-//! the same materialized topology to many runs without cloning the CSR.
+//! the same materialized topology to many runs without cloning the CSR, and
+//! so does `&T` for any topology `T`.
 //!
 //! Neighborhoods are exposed through a small-buffer callback
 //! ([`Topology::with_neighbors`]) rather than an iterator: the implicit
@@ -121,6 +122,27 @@ impl Topology for Arc<Graph> {
 
     fn resident_bytes(&self) -> usize {
         csr_bytes(self)
+    }
+}
+
+/// A borrowed topology, so a caller can run on a topology it keeps and read
+/// it afterwards (for instance
+/// [`ImplicitGraph::cache_stats`](super::ImplicitGraph::cache_stats)). A
+/// borrow cannot be rebuilt, so it reports no materialized graph and
+/// topology-rewriting fault plans are rejected up front.
+impl<T: Topology> Topology for &T {
+    #[inline]
+    fn node_count(&self) -> usize {
+        T::node_count(self)
+    }
+
+    #[inline]
+    fn with_neighbors<R>(&self, v: NodeId, f: impl FnOnce(&[NodeId]) -> R) -> R {
+        T::with_neighbors(self, v, f)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        T::resident_bytes(self)
     }
 }
 

@@ -73,7 +73,7 @@ pub mod trace;
 
 pub use engine::faults::{Churn, FaultPlan, Jammer, Mobility};
 pub use engine::{DenseWrap, DoneCheck, Protocol, SegmentRun, Simulator, Wake};
-pub use graph::{Graph, ImplicitGraph, Topology};
+pub use graph::{CacheStats, Graph, ImplicitGraph, Topology};
 pub use ids::NodeId;
 pub use model::{Action, CollisionMode, Observation, Packet};
 pub use trace::{RoundStats, RunStats};

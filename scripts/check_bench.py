@@ -142,9 +142,10 @@ MAX_STREAMED_PEAK_RATIO = 0.25
 # but tight enough that an accidental O(n·m) regression (or a fallen-off
 # fast path) in the million-node run fails loudly instead of stalling CI.
 WALL_BUDGETS_MS = {
-    # Measured ~2,600s uncontended on the 1-core reference box (44,940
-    # rounds, ~40G act skips + 90M transmissions at mean degree ~452).
-    "m1_million_disk_single": 5_400_000.0,
+    # Measured 2,546 s on a 2-vCPU box with a second m1 run on the other
+    # core, after the sort-free unit-disk scan (44,940 rounds, ~38G act
+    # skips + 90M transmissions at mean degree ~452); ~2x that figure.
+    "m1_million_disk_single": 5_100_000.0,
 }
 
 # Faulted entries that must show nonzero *recovery-counter* activity

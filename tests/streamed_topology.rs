@@ -4,9 +4,12 @@
 //! a tiny resident topology, and the clamps (MultiKnown, churn/mobility)
 //! panic with actionable messages instead of silently materializing.
 
-use broadcast::{Algo, BatchMode, Scenario, TopologySpec, Workload};
+use broadcast::single_message::broadcast_single_on;
+use broadcast::{Algo, BatchMode, Pacing, Params, Scenario, TopologySpec, Workload};
 use radio_sim::model::{Action, Observation};
-use radio_sim::{CollisionMode, FaultPlan, ImplicitGraph, Protocol, Simulator, Topology, Wake};
+use radio_sim::{
+    CollisionMode, FaultPlan, ImplicitGraph, NodeId, Protocol, Simulator, Topology, Wake,
+};
 use rand::rngs::SmallRng;
 use rlnc::gf2::BitVec;
 
@@ -179,4 +182,30 @@ fn churn_on_streamed_panics() {
         Scenario::new(TopologySpec::StreamedGrid { w: 4, h: 4 }, Workload::Single { payload: 1 })
             .faults(FaultPlan::none().with_churn(4, 0.05, 0.05))
             .run();
+}
+
+#[test]
+fn borrowed_streamed_disk_runs_like_the_scenario_and_counts_its_cache() {
+    // The million_stream example's path: the entry point on a borrowed
+    // graph, with the arguments `Scenario::run` passes for the spec.
+    let (n, radius, graph_seed) = (600, 0.1, 2026);
+    let spec = TopologySpec::StreamedUnitDisk { n, radius, graph_seed };
+    let scenario = Scenario::new(spec, Workload::Single { payload: 0xFEED }).seed(1);
+    let via_scenario = scenario.run();
+    let graph = ImplicitGraph::unit_disk(n, radius, graph_seed);
+    let borrowed = broadcast_single_on(
+        &graph,
+        NodeId::new(0),
+        0xFEED,
+        &Params::scaled(n),
+        1,
+        CollisionMode::Detection,
+        Pacing::Segment,
+        &FaultPlan::none(),
+    );
+    assert_eq!(borrowed.completion_round, via_scenario.completion_round);
+    assert_eq!(borrowed.plan.total_rounds(), via_scenario.cap);
+    assert_eq!(borrowed.stats, via_scenario.stats);
+    let cache = graph.cache_stats();
+    assert!(cache.hits > 0 && cache.misses > 0, "{cache:?}");
 }
